@@ -1,14 +1,14 @@
-// Parallel sharded analysis throughput: replays a Figure-3-scale streaming
-// capture (the saturating network receive run far past the 16K one-shot
-// RAM, drained bank by bank) through the serial StreamingDecoder and
-// through the ParallelAnalyzer at 1/2/4/8 workers, reporting the
-// wall-clock distribution, the speedup table and a machine-readable
-// BENCH_parallel_analysis.json. Every parallel decode is checked
-// byte-identical to the serial one before its time is counted.
+// Decode-engine throughput: replays a Figure-3-scale streaming capture (the
+// saturating network receive run far past the 16K one-shot RAM, drained
+// bank by bank) through the StreamingDecoder in retain mode (full trees and
+// steps, what the CLI reports use) and in fold mode (stats only, what
+// hwprofd uses), reporting the wall-clock distributions, the shard count
+// and a machine-readable BENCH_parallel_analysis.json. Every fold decode is
+// checked against the retain decode's summary before its time is counted.
 //
 // This is a genuine wall-clock microbenchmark of this repository's host
-// code; the speedup at 8 workers depends on the cores the host actually
-// has (a single-core container will honestly report ~1x).
+// code. The capture spans several shards, so pooled replay starts
+// ThreadPool::DefaultJobs() workers; on a one-CPU host it stays inline.
 
 #include <chrono>
 #include <cstdio>
@@ -18,8 +18,8 @@
 
 #include "bench/bench_util.h"
 #include "src/analysis/decoder.h"
-#include "src/analysis/parallel.h"
 #include "src/analysis/summary.h"
+#include "src/obs/telemetry.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/workloads.h"
 
@@ -40,84 +40,49 @@ int Run() {
   const StreamingRunResult run =
       RunStreamingNetworkReceive(tb, Sec(30), 2048 * 1024, Msec(50));
 
-  PaperHeader("parallel sharded analysis (host tooling; no paper artefact)",
-              "streamed Fig-3 capture decode, serial vs --jobs 1/2/4/8");
+  PaperHeader("decode engine (host tooling; no paper artefact)",
+              "streamed Fig-3 capture decode, retain vs fold");
   std::printf("  capture: %llu events in %zu drained banks; host reports %u "
               "hardware thread(s)\n\n",
               static_cast<unsigned long long>(run.events_drained),
               run.chunks.size(), std::thread::hardware_concurrency());
 
-  const StreamingOptions retain{.retain_structure = true};
-  auto decode_serial = [&] {
-    StreamingDecoder dec(tb.tags(), 24, 1'000'000, retain);
+  auto decode = [&](bool retain) {
+    StreamingDecoder dec(tb.tags(), 24, 1'000'000,
+                         StreamingOptions{.retain_structure = retain});
     for (const TraceChunk& chunk : run.chunks) {
       dec.FeedChunk(chunk);
     }
     return dec.Finish();
   };
-  const std::string reference = Summary(decode_serial()).Format(0);
+  const std::uint64_t shards_before = obs::GlobalSnapshot().CounterValue("parallel.shards");
+  const std::string reference = Summary(decode(true)).Format(0);
+  const std::uint64_t shards =
+      obs::GlobalSnapshot().CounterValue("parallel.shards") - shards_before;
   constexpr int kRepeats = 9;
   BenchJson json("parallel_analysis");
 
-  std::vector<double> serial_samples;
-  for (int r = 0; r < kRepeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    const DecodedTrace d = decode_serial();
-    serial_samples.push_back(MsSince(start));
-    if (Summary(d).Format(0) != reference) {
-      std::printf("FAIL: serial decode is not deterministic\n");
-      return 1;
-    }
-  }
-  const BenchStats serial = ComputeStats(serial_samples);
-  StatRow("serial StreamingDecoder", serial, "ms");
-  json.Add("serial_decode_ms", serial, "ms");
-
-  struct JobsResult {
-    unsigned jobs;
-    BenchStats stats;
-  };
-  std::vector<JobsResult> results;
-  std::size_t shards = 0;
-  for (unsigned jobs : {1u, 2u, 4u, 8u}) {
+  for (const bool retain : {true, false}) {
     std::vector<double> samples;
     for (int r = 0; r < kRepeats; ++r) {
-      ParallelOptions opts;
-      opts.jobs = jobs;
       const auto start = std::chrono::steady_clock::now();
-      ParallelAnalyzer analyzer(tb.tags(), 24, 1'000'000, opts);
-      for (const TraceChunk& chunk : run.chunks) {
-        analyzer.FeedChunk(chunk);
-      }
-      const DecodedTrace d = analyzer.Finish();
-      shards = analyzer.shards_planned();
+      const DecodedTrace d = decode(retain);
       samples.push_back(MsSince(start));
       if (Summary(d).Format(0) != reference) {
-        std::printf("FAIL: jobs=%u decode diverged from serial\n", jobs);
+        std::printf("FAIL: %s decode diverged from the first retain decode\n",
+                    retain ? "retain" : "fold");
         return 1;
       }
     }
-    JobsResult res{jobs, ComputeStats(samples)};
-    char label[64];
-    std::snprintf(label, sizeof(label), "ParallelAnalyzer --jobs %u", jobs);
-    StatRow(label, res.stats, "ms");
-    char metric[64];
-    std::snprintf(metric, sizeof(metric), "parallel_decode_jobs%u_ms", jobs);
-    json.Add(metric, res.stats, "ms");
-    results.push_back(res);
+    const BenchStats stats = ComputeStats(samples);
+    StatRow(retain ? "StreamingDecoder retain" : "StreamingDecoder fold", stats, "ms");
+    json.Add(retain ? "retain_decode_ms" : "fold_decode_ms", stats, "ms");
   }
 
-  std::printf("\n  planner cut the capture into %zu shards\n", shards);
+  std::printf("\n  planner cut the capture into %llu shards\n",
+              static_cast<unsigned long long>(shards));
   json.AddScalar("shards_planned", static_cast<double>(shards), "shards");
-  std::printf("  speedup vs serial (p50):\n");
-  for (const JobsResult& res : results) {
-    const double speedup = res.stats.p50 > 0.0 ? serial.p50 / res.stats.p50 : 0.0;
-    std::printf("    jobs=%u  %.2fx\n", res.jobs, speedup);
-    char metric[64];
-    std::snprintf(metric, sizeof(metric), "speedup_jobs%u", res.jobs);
-    json.AddScalar(metric, speedup, "x");
-  }
-  json.AddScalar("hardware_threads", std::thread::hardware_concurrency(), "threads");
+  json.AddScalar("events", static_cast<double>(run.events_drained), "events");
   json.Write();
   return 0;
 }

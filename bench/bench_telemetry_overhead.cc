@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include "src/analysis/decoder.h"
-#include "src/analysis/parallel.h"
 #include "src/obs/telemetry.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/workloads.h"
@@ -72,34 +71,6 @@ void BM_DecodeTelemetryDisabled(benchmark::State& state) {
                                            : "telemetry=compiled-out");
 }
 BENCHMARK(BM_DecodeTelemetryDisabled);
-
-// The parallel engine adds gauge and span traffic from every worker.
-void BM_ParallelDecodeTelemetryEnabled(benchmark::State& state) {
-  CaptureFixture& f = SharedFixture();
-  obs::SetEnabled(true);
-  for (auto _ : state) {
-    DecodedTrace d = DecodeParallel(f.raw, f.tb->tags(),
-                                    ParallelOptions{.jobs = 4});
-    benchmark::DoNotOptimize(d.per_function.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(f.raw.events.size()));
-}
-BENCHMARK(BM_ParallelDecodeTelemetryEnabled);
-
-void BM_ParallelDecodeTelemetryDisabled(benchmark::State& state) {
-  CaptureFixture& f = SharedFixture();
-  obs::SetEnabled(false);
-  for (auto _ : state) {
-    DecodedTrace d = DecodeParallel(f.raw, f.tb->tags(),
-                                    ParallelOptions{.jobs = 4});
-    benchmark::DoNotOptimize(d.per_function.size());
-  }
-  obs::SetEnabled(true);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(f.raw.events.size()));
-}
-BENCHMARK(BM_ParallelDecodeTelemetryDisabled);
 
 // Per-primitive costs: one loop iteration = one macro hit on a hot cell.
 void BM_TelemetryCounterHit(benchmark::State& state) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace hwprof {
@@ -103,7 +104,19 @@ class BenchJson {
       std::printf("warning: cannot write %s\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"results\": [\n", name_.c_str());
+    std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name_.c_str());
+    // Host context: the numbers mean little without the machine and build.
+    std::fprintf(f,
+                 "  \"context\": {\"hardware_threads\": %u, \"compiler\": \"%s\", "
+                 "\"optimized\": %s},\n",
+                 std::thread::hardware_concurrency(), __VERSION__,
+#ifdef NDEBUG
+                 "true"
+#else
+                 "false"
+#endif
+    );
+    std::fprintf(f, "  \"results\": [\n");
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       std::fprintf(f, "%s%s\n", entries_[i].c_str(), i + 1 < entries_.size() ? "," : "");
     }

@@ -20,6 +20,7 @@
 #ifndef HWPROF_SRC_ANALYSIS_DECODER_H_
 #define HWPROF_SRC_ANALYSIS_DECODER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -189,14 +190,13 @@ struct DecodedTrace {
 };
 
 // Folds a finished decode's anomaly counters into the pipeline telemetry
-// registry (src/obs) under decode.anomaly.*. Called by both the streaming
-// and parallel engines so --stats reports anomalies whichever path ran.
+// registry (src/obs) under decode.anomaly.*. Called by every Finish.
 void RecordDecodeTelemetry(const DecodedTrace& decoded);
 
 class Decoder {
  public:
-  // Decodes `raw` against `names`. Never fails: malformed regions become
-  // anomaly counts.
+  // Decodes `raw` against `names` with a StreamingDecoder in retain mode.
+  // Never fails: malformed regions become anomaly counts.
   //
   // Lifetime: the returned trace's CallNodes point into `names`' entries;
   // `names` must outlive the DecodedTrace.
@@ -206,21 +206,43 @@ class Decoder {
 struct StreamingOptions {
   // Keep the full call trees and the chronological step list (what the
   // trace/callgraph/process reports need; batch Decode() sets this). When
-  // false, finished top-level calls are folded into the per-function stats
-  // and freed as the stream advances, so memory is bounded by stack depth
-  // plus the context-switch lookahead window — not by capture length.
+  // false, replay folds: every call is added to the per-function stats and
+  // freed as it closes, no steps or inline-marker nodes are built, and the
+  // finished trace carries empty stack trees. Memory is then bounded by
+  // open-call depth plus the context-switch lookahead window.
   bool retain_structure = false;
+  // Ops per shard before the planner looks for a context-switch boundary to
+  // cut at; a block overrunning this 2x is cut mid-block (interrupt-driven
+  // captures may never switch). The output never depends on it: small
+  // values only force many shards, which the differential tests use to
+  // exercise stitching and pooled replay on small traces.
+  std::size_t shard_target_ops = 8192;
 };
 
+class DecodeEngine;
+
 // Incremental decoder: feed a capture in arbitrarily-sized chunks and get
-// the same answer the one-shot Decoder produces on the concatenation. All
-// cross-event state — absolute-time reconstruction across 24-bit timer
-// wraps, open call stacks, suspended contexts, the one-event-lookahead
-// context-switch resolution — carries across chunk boundaries. Events whose
-// handling needs lookahead (a `swtch` exit deciding which suspended stack
-// resumes) are buffered until enough of the future has arrived to decide
-// exactly as the one-shot decoder would; everything else is decoded as it
-// arrives.
+// the same answer on any chunking of the same events. It is the only
+// decode engine and runs in three stages:
+//
+//  1. A serial control pass (the planner) reconstructs absolute time,
+//     matches entries to exits on cheap frame chains, resolves which
+//     suspended context a `swtch` exit resumes by lookahead, and emits a
+//     flat op script plus the anomaly counters. Events whose handling
+//     needs lookahead wait in a pending window until enough of the future
+//     has arrived to decide exactly as a one-shot pass would.
+//  2. Shard replay cuts the script at context-switch boundaries and does
+//     the per-event work: call-node allocation, interval attribution,
+//     steps (retain mode) or folding (retain_structure=false). Once the
+//     planner seals a second shard with input still to come, shards replay
+//     on a process-wide ThreadPool of DefaultJobs() workers (started the
+//     first time any decode gets there) while planning continues. Until
+//     then, and for the tail sealed by Finish or SnapshotStats, the calling
+//     thread replays them itself, so captures under about two shard
+//     targets never touch a thread.
+//  3. Merge stitches calls open across a cut back into one node and
+//     combines per-function stats, which are sums and min/max, so the
+//     result never depends on shard count or worker timing.
 //
 // Lifetime: `names` must outlive the decoder and any DecodedTrace it emits.
 class StreamingDecoder {
@@ -267,7 +289,7 @@ class StreamingDecoder {
   // Running statistics view of everything decoded so far: per-function
   // stats, idle and elapsed totals (open calls included, with time
   // accumulated to date). Carries no trees or steps; pass it to Summary for
-  // a live Figure 3 report.
+  // a live Figure 3 report. Seals and merges the shards planned so far.
   DecodedTrace SnapshotStats() const;
 
   // Decodes everything still buffered, closes open calls, and returns the
@@ -275,8 +297,7 @@ class StreamingDecoder {
   DecodedTrace Finish(bool truncated = false);
 
  private:
-  class Impl;
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<DecodeEngine> engine_;
 };
 
 }  // namespace hwprof

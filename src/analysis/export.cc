@@ -46,7 +46,7 @@ std::string JsonEscape(const std::string& s) {
 }
 
 // Chrome wants microseconds; integer-only rendering of the exact nanosecond
-// value keeps the output byte-stable across platforms and --jobs counts.
+// value keeps the output byte-stable across platforms.
 std::string UsecStr(Nanoseconds ns) {
   return StrFormat("%llu.%03llu", static_cast<unsigned long long>(ns / 1000),
                    static_cast<unsigned long long>(ns % 1000));

@@ -8,9 +8,9 @@
 //    speedscope, weighted by net (exclusive, on-CPU) nanoseconds.
 //
 // Both renderings are byte-deterministic: integer-only formatting, fixed
-// walk order, map-sorted aggregation. Because serial and parallel decodes
-// are byte-identical by contract, an export is too, whatever --jobs built
-// the DecodedTrace (export_test locks this in).
+// walk order, map-sorted aggregation. Because every feed shape and shard
+// size decodes to the same DecodedTrace, the export does not depend on how
+// the capture was fed (export_test locks this in).
 //
 // Slice timestamps use the Chrome convention (microseconds) with exactly
 // three fractional digits; each slice also carries the exact nanosecond

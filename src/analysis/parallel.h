@@ -1,107 +1,29 @@
-// Parallel sharded analysis engine.
-//
-// McRae's analysis splits a capture into per-process activity blocks between
-// context switches — a structure that is embarrassingly parallel once the
-// block boundaries and context-switch resolutions are known. This engine
-// splits the decode into:
-//
-//  1. A serial *control pass* (the shard planner): a lightweight port of the
-//     StreamingDecoder's control flow that runs the entry/exit matching and
-//     the suspended-stack lookahead resolution on cheap frame chains, and
-//     emits a flat op script (open / close / set-current / advance) plus the
-//     anomaly counters. It allocates no call trees, attributes no time and
-//     touches no per-function maps — only decides.
-//  2. Parallel *shard replay*: the script is cut at context-switch
-//     boundaries into shards (each a closed run of activity blocks; within
-//     a shard every decision is already made), and a worker per shard does
-//     the expensive work — CallNode allocation, per-event interval
-//     attribution, TraceStep emission, per-function accumulation.
-//  3. A deterministic, order-independent *merge*: per-function timings,
-//     anomaly counters and idle time combine associatively (sums, min/max,
-//     call counts); call nodes open across a cut are stitched back into one
-//     node by summing their per-shard accumulators; steps concatenate in
-//     shard order. The result is byte-identical to Decoder::Decode for any
-//     cut set and any worker count — the contract parallel_analysis_test
-//     fuzzes.
-//
-// Replay correctness does not depend on where the cuts fall (each shard is
-// seeded with a snapshot of every open chain), so the planner is free to cut
-// greedily: the first context-switch boundary after `shard_target_ops` ops,
-// or mid-block once a single context has run 2x past the target (saturating
-// interrupt-driven captures may never context switch at all).
+// Compatibility shim for the pipeline benchmark (pipebench/), which still
+// names the sharded engine that StreamingDecoder now is. Nothing else may
+// include this header; it goes away with the next change to pipebench/.
 
 #ifndef HWPROF_SRC_ANALYSIS_PARALLEL_H_
 #define HWPROF_SRC_ANALYSIS_PARALLEL_H_
-
-#include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "src/analysis/decoder.h"
 
 namespace hwprof {
 
 struct ParallelOptions {
-  // Worker threads; 0 = ThreadPool::DefaultJobs(). 1 runs every shard
-  // inline on the calling thread (no thread machinery at all).
-  unsigned jobs = 0;
-  // Ops per shard before the planner looks for a context-switch boundary to
-  // cut at; a block overrunning this 2x is cut mid-block (interrupt-driven
-  // captures may never switch). Small values force many shards (the
-  // differential test uses this to exercise stitching on small traces); the
-  // output never depends on it.
-  std::size_t shard_target_ops = 8192;
+  unsigned jobs = 0;  // accepted and ignored: capture size decides threading
+  std::size_t shard_target_ops = StreamingOptions{}.shard_target_ops;
 };
 
-// Incremental parallel analyzer with the StreamingDecoder's feed interface:
-// drained banks are handed to the worker pool as soon as the control pass
-// has decided them, while capture continues. Finish() waits for the pool
-// and merges. The result always carries the full call trees and step list
-// (batch-Decode semantics).
-//
-// Lifetime: `names` must outlive the analyzer and the DecodedTrace it
-// returns.
-class ParallelAnalyzer {
+// The one decode engine in retain mode (full trees and steps).
+class ParallelAnalyzer : public StreamingDecoder {
  public:
   explicit ParallelAnalyzer(const TagFile& names, unsigned timer_bits = 24,
                             std::uint64_t timer_clock_hz = 1'000'000,
-                            ParallelOptions options = ParallelOptions{});
-  ~ParallelAnalyzer();
-  ParallelAnalyzer(const ParallelAnalyzer&) = delete;
-  ParallelAnalyzer& operator=(const ParallelAnalyzer&) = delete;
-
-  void Feed(const RawEvent* events, std::size_t count);
-  void Feed(const std::vector<RawEvent>& events);
-  // Structure-of-arrays variant: parallel tag/timestamp columns straight
-  // from the binary container's chunk reader.
-  void FeedSoA(const std::uint16_t* tags, const std::uint32_t* timestamps,
-               std::size_t count);
-  void FeedChunk(const TraceChunk& chunk);
-  void NoteDropped(std::uint64_t count);
-  // Salvage accounting — identical semantics to the StreamingDecoder's
-  // methods of the same names (the differential contract covers them).
-  void NoteCorruptWords(std::uint64_t count);
-  void SetClockEnvelope(Nanoseconds capture_elapsed);
-
-  std::uint64_t events_seen() const;
-  std::uint64_t dropped_events() const;
-  // Shards sealed and submitted to the pool so far.
-  std::size_t shards_planned() const;
-
-  // Flushes the planner, waits for every shard worker, merges, and returns
-  // the final trace — byte-identical to what Decoder::Decode would produce
-  // on the concatenated input. Consumes the analyzer.
-  DecodedTrace Finish(bool truncated = false);
-
- private:
-  class Impl;
-  std::unique_ptr<Impl> impl_;
+                            ParallelOptions options = ParallelOptions{})
+      : StreamingDecoder(names, timer_bits, timer_clock_hz,
+                         StreamingOptions{.retain_structure = true,
+                                          .shard_target_ops = options.shard_target_ops}) {}
 };
-
-// Batch convenience: the parallel counterpart of Decoder::Decode. Output is
-// byte-identical to the serial decoder for every capture.
-DecodedTrace DecodeParallel(const RawTrace& raw, const TagFile& names,
-                            ParallelOptions options = ParallelOptions{});
 
 }  // namespace hwprof
 

@@ -35,14 +35,6 @@ void ThreadPool::Submit(std::function<void()> job) {
   work_ready_.notify_one();
 }
 
-void ThreadPool::WaitIdle() {
-  if (threads_.empty()) {
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 unsigned ThreadPool::DefaultJobs() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -57,23 +49,10 @@ void ThreadPool::WorkerLoop() {
     }
     std::function<void()> job = std::move(queue_.front());
     queue_.pop_front();
-    ++in_flight_;
     lock.unlock();
     job();
     lock.lock();
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) {
-      idle_.notify_all();
-    }
   }
-}
-
-void ParallelFor(ThreadPool& pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.Submit([&fn, i] { fn(i); });
-  }
-  pool.WaitIdle();
 }
 
 }  // namespace hwprof

@@ -2,13 +2,12 @@
 //
 // The simulator itself stays single-threaded (bit-exact reproducibility);
 // the pool exists for embarrassingly parallel *host* work — per-shard trace
-// decode, report rendering — where determinism is recovered by an
-// order-independent merge, not by execution order.
+// replay — where determinism is recovered by an order-independent merge,
+// not by execution order.
 //
 // Two deliberate properties:
-//  * `workers == 0` (or 1) runs every job inline on the submitting thread:
-//    `--jobs 1` is a genuinely serial path with zero thread machinery, so
-//    single-threaded equivalence tests exercise the identical code.
+//  * `workers == 0` (or 1) runs every job inline on the submitting thread
+//    with zero thread machinery (what DefaultJobs() gives a one-CPU host).
 //  * Submission order is preserved per worker pickup but nothing else is
 //    guaranteed; callers must not depend on completion order.
 
@@ -30,6 +29,7 @@ class ThreadPool {
   // `workers` threads are spawned; 0 and 1 both mean "inline mode" (no
   // threads at all, Submit runs the job before returning).
   explicit ThreadPool(unsigned workers);
+  // Finishes every job already submitted, then joins the workers.
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -38,14 +38,10 @@ class ThreadPool {
   // before Submit returns.
   void Submit(std::function<void()> job);
 
-  // Blocks until every submitted job has finished. Safe to call repeatedly;
-  // the pool remains usable afterwards.
-  void WaitIdle();
-
   // Number of worker threads (0 in inline mode).
   unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
 
-  // `--jobs` default: the hardware concurrency, never less than 1.
+  // The hardware concurrency, never less than 1.
   static unsigned DefaultJobs();
 
  private:
@@ -53,18 +49,10 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable work_ready_;
-  std::condition_variable idle_;
   std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;  // popped but not yet finished
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
 };
-
-// Runs fn(i) for i in [0, n), spread across the pool, and waits for all of
-// them. The pool must be exclusively the caller's for the duration (WaitIdle
-// is used as the barrier).
-void ParallelFor(ThreadPool& pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn);
 
 }  // namespace hwprof
 

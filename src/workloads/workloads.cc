@@ -98,9 +98,13 @@ StreamingRunResult RunStreamingNetworkReceive(Testbed& tb, Nanoseconds duration,
 
   // The periodic host-side drain, running as a simulated-time event so its
   // bus cycles (and its profdrain triggers) interleave with the workload.
+  // Only the pending event owns the closure; it refers to itself weakly, so
+  // the chain ends (and frees the result it captures) once it stops
+  // rescheduling or the event queue goes away.
   auto stopped = std::make_shared<bool>(false);
   auto drain = std::make_shared<std::function<void()>>();
-  *drain = [&tb, result, drain, drain_period, save, stream_path, stopped] {
+  std::weak_ptr<std::function<void()>> self = drain;
+  *drain = [&tb, result, self, drain_period, save, stream_path, stopped] {
     if (*stopped) {
       return;
     }
@@ -114,7 +118,7 @@ StreamingRunResult RunStreamingNetworkReceive(Testbed& tb, Nanoseconds duration,
       result->chunks.push_back(std::move(chunk));
     }
     tb.machine().events().ScheduleAt(tb.machine().Now() + drain_period,
-                                     [drain] { (*drain)(); });
+                                     [next = self.lock()] { (*next)(); });
   };
   tb.machine().events().ScheduleAt(tb.machine().Now() + drain_period,
                                    [drain] { (*drain)(); });
@@ -134,7 +138,7 @@ StreamingRunResult RunStreamingNetworkReceive(Testbed& tb, Nanoseconds duration,
     result->events_drained += c.events.size();
     result->events_dropped += c.dropped_before;
   }
-  return *result;
+  return std::move(*result);
 }
 
 ForkExecResult RunForkExec(Testbed& tb, int iterations, Nanoseconds max_time,

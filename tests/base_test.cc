@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
 
 #include "src/base/rng.h"
 #include "src/base/strings.h"
+#include "src/base/thread_pool.h"
 #include "src/base/units.h"
 
 namespace hwprof {
@@ -164,6 +166,30 @@ TEST(Units, Conversions) {
   EXPECT_EQ(ToWholeUsec(1999), 1u);
   EXPECT_DOUBLE_EQ(ToMsecF(1'500'000), 1.5);
   EXPECT_DOUBLE_EQ(ToUsecF(1'500), 1.5);
+}
+
+// --- ThreadPool ----------------------------------------------------------------------
+
+TEST(ThreadPool, RunsEveryJobExactlyOnceBeforeDestruction) {
+  for (unsigned workers : {0u, 1u, 4u}) {
+    std::atomic<int> sum{0};
+    {
+      ThreadPool pool(workers);
+      for (int i = 1; i <= 100; ++i) {
+        pool.Submit([&sum, i] { sum.fetch_add(i); });
+      }
+    }
+    EXPECT_EQ(sum.load(), 5050) << "workers=" << workers;
+  }
+}
+
+TEST(ThreadPool, InlineModeHasNoThreads) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.workers(), 0u);
+  bool ran = false;
+  pool.Submit([&ran] { ran = true; });
+  EXPECT_TRUE(ran);  // ran synchronously on this thread
+  EXPECT_GE(ThreadPool::DefaultJobs(), 1u);
 }
 
 }  // namespace

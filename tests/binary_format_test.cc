@@ -3,9 +3,8 @@
 //  * lossless text<->binary round trips (bit-identical both directions) for
 //    one-shot captures and chunked streams, across the fault-plan seed set;
 //  * decode identity: a binary container fed through the zero-copy SoA
-//    reader — serially, as randomly-rechunked streams, and through the
-//    parallel engine at --jobs {1,2,8} — fingerprints byte-identical to the
-//    text decode of the same events;
+//    reader — at several shard sizes, and as randomly-rechunked streams —
+//    fingerprints byte-identical to the reference decode of the same events;
 //  * a corruption matrix with EXACT typed-anomaly accounting: flipped CRC,
 //    destroyed chunk magic, oversized record count, bogus varint
 //    continuation, torn tails (mid-header and mid-record), timestamps above
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "src/analysis/decoder.h"
-#include "src/analysis/parallel.h"
 #include "src/base/rng.h"
 #include "src/profhw/binary_trace.h"
 #include "src/profhw/fault_injection.h"
@@ -40,12 +38,13 @@ namespace {
 
 // --- Decode-path helpers (the binary twins of fault_injection_test's) --------
 
-DecodedTrace DecodeBinarySerial(const std::string& bytes, const TagFile& names,
-                                bool salvage = false) {
-  BinaryChunkReader reader(bytes, salvage);
+DecodedTrace DecodeBinary(const std::string& bytes, const TagFile& names,
+                          std::size_t shard_target = StreamingOptions{}.shard_target_ops) {
+  BinaryChunkReader reader(bytes, /*salvage=*/false);
   HWPROF_CHECK(reader.header_ok());
   StreamingDecoder decoder(names, reader.timer_bits(), reader.timer_clock_hz(),
-                           StreamingOptions{.retain_structure = true});
+                           StreamingOptions{.retain_structure = true,
+                                            .shard_target_ops = shard_target});
   decoder.NoteDropped(reader.dropped_events());
   decoder.SetClockEnvelope(reader.capture_elapsed_ns());
   SoaChunk chunk;
@@ -58,29 +57,6 @@ DecodedTrace DecodeBinarySerial(const std::string& bytes, const TagFile& names,
   }
   decoder.NoteCorruptWords(reader.corrupt_words());
   return decoder.Finish(reader.overflowed());
-}
-
-DecodedTrace DecodeBinaryParallel(const std::string& bytes, const TagFile& names,
-                                  unsigned jobs, std::size_t shard_target) {
-  BinaryChunkReader reader(bytes, /*salvage=*/false);
-  HWPROF_CHECK(reader.header_ok());
-  ParallelOptions opts;
-  opts.jobs = jobs;
-  opts.shard_target_ops = shard_target;
-  ParallelAnalyzer analyzer(names, reader.timer_bits(), reader.timer_clock_hz(),
-                            opts);
-  analyzer.NoteDropped(reader.dropped_events());
-  analyzer.SetClockEnvelope(reader.capture_elapsed_ns());
-  SoaChunk chunk;
-  while (reader.Next(&chunk)) {
-    if (chunk.dropped_before > 0) {
-      analyzer.NoteDropped(chunk.dropped_before);
-    }
-    analyzer.FeedSoA(chunk.tags.data(), chunk.timestamps.data(),
-                     chunk.tags.size());
-  }
-  analyzer.NoteCorruptWords(reader.corrupt_words());
-  return analyzer.Finish(reader.overflowed());
 }
 
 // Splits `raw` into a stream of randomly-sized drained banks.
@@ -237,16 +213,10 @@ TEST_P(BinaryRoundTripFuzzTest, BinaryDecodeMatchesTextDecodeOnEveryPath) {
     raw.capture_elapsed_ns = 40'000'000'000ull;
   }
   const std::string bin = EncodeCaptureBinary(raw);
-  const std::string serial = Fingerprint(Decoder::Decode(raw, names));
-
-  ASSERT_EQ(Fingerprint(DecodeBinarySerial(bin, names)), serial)
-      << "binary serial, seed " << seed;
-  for (unsigned jobs : {1u, 2u, 8u}) {
-    for (std::size_t target : {std::size_t{1}, std::size_t{64}}) {
-      ASSERT_EQ(Fingerprint(DecodeBinaryParallel(bin, names, jobs, target)),
-                serial)
-          << "binary jobs=" << jobs << " target=" << target << " seed " << seed;
-    }
+  const std::string expected = Fingerprint(ReferenceDecode(raw, names));
+  for (const std::size_t target : kShardTargets) {
+    ASSERT_EQ(Fingerprint(DecodeBinary(bin, names, target)), expected)
+        << "binary target=" << target << " seed " << seed;
   }
 
   // Chunked-stream path: the same events as a binary *stream* container with
@@ -256,7 +226,7 @@ TEST_P(BinaryRoundTripFuzzTest, BinaryDecodeMatchesTextDecodeOnEveryPath) {
   flat.overflowed = false;
   flat.dropped_events = 0;
   flat.capture_elapsed_ns = 0;
-  const std::string flat_serial = Fingerprint(Decoder::Decode(flat, names));
+  const std::string flat_expected = Fingerprint(ReferenceDecode(flat, names));
   for (std::uint64_t chunk_seed : {1u, 77u}) {
     const std::string sbin =
         EncodeStreamBinary(RandomChunking(flat, chunk_seed));
@@ -267,7 +237,7 @@ TEST_P(BinaryRoundTripFuzzTest, BinaryDecodeMatchesTextDecodeOnEveryPath) {
     for (const TraceChunk& chunk : stream.chunks) {
       decoder.FeedChunk(chunk);
     }
-    ASSERT_EQ(Fingerprint(decoder.Finish(false)), flat_serial)
+    ASSERT_EQ(Fingerprint(decoder.Finish(false)), flat_expected)
         << "binary chunked, chunk_seed=" << chunk_seed << " seed " << seed;
   }
 }
@@ -298,24 +268,19 @@ TEST_P(BinaryRoundTripFuzzTest, RandomBinaryDamageNeverCrashesAndSalvages) {
   ASSERT_TRUE(DecodeCaptureBinarySalvage(damaged, &salvaged, &salvage_diags,
                                          &corrupt_words))
       << "seed " << seed;
-  StreamingDecoder decoder(names, salvaged.timer_bits, salvaged.timer_clock_hz,
-                           StreamingOptions{.retain_structure = true});
-  decoder.NoteCorruptWords(corrupt_words);
-  decoder.NoteDropped(salvaged.dropped_events);
-  decoder.SetClockEnvelope(salvaged.capture_elapsed_ns);
-  decoder.Feed(salvaged.events);
-  const std::string serial = Fingerprint(decoder.Finish(salvaged.overflowed));
-  ParallelOptions opts;
-  opts.jobs = 8;
-  opts.shard_target_ops = 64;
-  ParallelAnalyzer analyzer(names, salvaged.timer_bits, salvaged.timer_clock_hz,
-                            opts);
-  analyzer.NoteCorruptWords(corrupt_words);
-  analyzer.NoteDropped(salvaged.dropped_events);
-  analyzer.SetClockEnvelope(salvaged.capture_elapsed_ns);
-  analyzer.Feed(salvaged.events);
-  EXPECT_EQ(Fingerprint(analyzer.Finish(salvaged.overflowed)), serial)
-      << "salvage parallel, seed " << seed;
+  const std::string expected =
+      Fingerprint(ReferenceDecode(salvaged, names, corrupt_words));
+  for (const std::size_t target : kShardTargets) {
+    StreamingDecoder decoder(names, salvaged.timer_bits, salvaged.timer_clock_hz,
+                             StreamingOptions{.retain_structure = true,
+                                              .shard_target_ops = target});
+    decoder.NoteCorruptWords(corrupt_words);
+    decoder.NoteDropped(salvaged.dropped_events);
+    decoder.SetClockEnvelope(salvaged.capture_elapsed_ns);
+    decoder.Feed(salvaged.events);
+    EXPECT_EQ(Fingerprint(decoder.Finish(salvaged.overflowed)), expected)
+        << "salvage target=" << target << ", seed " << seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinaryRoundTripFuzzTest,

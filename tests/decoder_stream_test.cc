@@ -1,9 +1,9 @@
 // StreamingDecoder hardening: for ANY way of slicing a raw event sequence
 // into chunks — including empty, single-event, truncated and corrupted
 // chunks — the incremental decode must be byte-identical to the one-shot
-// decode of the concatenation. Exercised on hand-built reference traces
-// (exhaustively over split points) and on randomly generated adversarial
-// traces (fuzzed chunkings).
+// reference decode (tests/reference_decoder.h) of the concatenation.
+// Exercised on hand-built reference traces (exhaustively over split points)
+// and on randomly generated adversarial traces (fuzzed chunkings).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "src/instr/tag_file.h"
 #include "src/profhw/raw_trace.h"
 #include "src/profhw/usec_timer.h"
+#include "tests/reference_decoder.h"
 
 namespace hwprof {
 namespace {
@@ -96,7 +97,7 @@ std::vector<RawTrace> ReferenceTraces() {
 TEST(StreamingDecoder, EverySplitOfEveryReferenceTraceMatchesBatch) {
   const TagFile& names = MakeNames();
   for (const RawTrace& raw : ReferenceTraces()) {
-    const std::string batch = Fingerprint(Decoder::Decode(raw, names));
+    const std::string batch = Fingerprint(ReferenceDecode(raw, names));
     // Every single two-chunk split.
     for (std::size_t cut = 0; cut <= raw.events.size(); ++cut) {
       const DecodedTrace d = DecodeChunked(raw, names, {cut}, /*retain=*/false);
@@ -114,7 +115,7 @@ TEST(StreamingDecoder, EverySplitOfEveryReferenceTraceMatchesBatch) {
 TEST(StreamingDecoder, RetainedStructureMatchesBatchExactly) {
   const TagFile& names = MakeNames();
   for (const RawTrace& raw : ReferenceTraces()) {
-    const DecodedTrace batch = Decoder::Decode(raw, names);
+    const DecodedTrace batch = ReferenceDecode(raw, names);
     for (std::size_t cut = 0; cut <= raw.events.size(); ++cut) {
       const DecodedTrace d = DecodeChunked(raw, names, {cut}, /*retain=*/true);
       ASSERT_EQ(d.steps.size(), batch.steps.size()) << "split at " << cut;
@@ -178,7 +179,7 @@ TEST_P(StreamFuzzTest, RandomChunkingsMatchBatch) {
   const TagFile& names = MakeNames();
   Rng rng(GetParam() * 7919 + 1);
   const RawTrace raw = FuzzTrace(GetParam(), 600);
-  const std::string batch = Fingerprint(Decoder::Decode(raw, names));
+  const std::string batch = Fingerprint(ReferenceDecode(raw, names));
   for (int round = 0; round < 6; ++round) {
     // Random strictly-increasing cut points; duplicates collapse to empty
     // chunks via the k==prev guard below being absent on purpose — Feed(_, 0)
@@ -202,7 +203,7 @@ TEST_P(StreamFuzzTest, RandomChunkingsMatchBatch) {
 TEST_P(StreamFuzzTest, SingleEventChunksMatchBatch) {
   const TagFile& names = MakeNames();
   const RawTrace raw = FuzzTrace(GetParam() + 1000, 300);
-  const std::string batch = Fingerprint(Decoder::Decode(raw, names));
+  const std::string batch = Fingerprint(ReferenceDecode(raw, names));
   StreamingDecoder dec(names);
   for (const RawEvent& e : raw.events) {
     dec.Feed(&e, 1);
@@ -220,7 +221,7 @@ TEST(StreamingDecoder, TruncatedStreamDecodesThePrefix) {
   RawTrace prefix;
   prefix.events.assign(full.events.begin(), full.events.begin() + 123);
   prefix.overflowed = true;
-  const std::string batch = Fingerprint(Decoder::Decode(prefix, names));
+  const std::string batch = Fingerprint(ReferenceDecode(prefix, names));
 
   StreamingDecoder dec(names);
   dec.Feed(prefix.events);
@@ -240,7 +241,7 @@ TEST(StreamingDecoder, GarbageChunksAreToleratedIdentically) {
     raw.events.push_back({static_cast<std::uint16_t>(rng.NextBelow(1024)),
                           now & ((1u << 24) - 1)});
   }
-  const std::string batch = Fingerprint(Decoder::Decode(raw, names));
+  const std::string batch = Fingerprint(ReferenceDecode(raw, names));
   EXPECT_EQ(Fingerprint(DecodeChunked(raw, names, {7, 7, 100, 499}, false)), batch);
 }
 

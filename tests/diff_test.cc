@@ -1,8 +1,8 @@
 // Differential capture comparison (TraceDiff / hwprof_analyze --diff):
 // exact row values on synthetic A/B pairs, the inclusive noise threshold,
 // the exit-code contract the CI perf gate relies on, byte-identical output
-// across decode paths (serial vs --jobs N) and storage formats (text vs
-// hwpb), and direct CallGraph/Grouping coverage the diff builds on.
+// across shard sizes, --jobs values (accepted and ignored) and storage
+// formats (text vs hwpb), and direct CallGraph/Grouping coverage the diff builds on.
 
 #include "src/analysis/diff.h"
 
@@ -17,7 +17,6 @@
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
 #include "src/analysis/grouping.h"
-#include "src/analysis/parallel.h"
 #include "src/base/assert.h"
 #include "src/profhw/smart_socket.h"
 #include "tests/trace_testutil.h"
@@ -329,23 +328,18 @@ TEST(DiffDeterminism, ByteIdenticalAcrossDecodePaths) {
   const std::map<std::string, std::string> groups = AbcGroups();
   const DiffOptions options{.noise_pct = 1.0};
 
-  const DecodedTrace serial_a = Decoder::Decode(raw_a, names);
-  const DecodedTrace serial_b = Decoder::Decode(raw_b, names);
-  const TraceDiff serial(serial_a, serial_b, groups, options);
-  const std::string text = serial.FormatText();
-  const std::string json = serial.FormatJson();
+  const DecodedTrace ref_a = ReferenceDecode(raw_a, names);
+  const DecodedTrace ref_b = ReferenceDecode(raw_b, names);
+  const TraceDiff reference(ref_a, ref_b, groups, options);
+  const std::string text = reference.FormatText();
+  const std::string json = reference.FormatJson();
 
-  for (unsigned jobs : {1u, 2u, 8u}) {
-    for (std::size_t target : {std::size_t{1}, std::size_t{64}}) {
-      ParallelOptions popts;
-      popts.jobs = jobs;
-      popts.shard_target_ops = target;
-      const DecodedTrace par_a = DecodeParallel(raw_a, names, popts);
-      const DecodedTrace par_b = DecodeParallel(raw_b, names, popts);
-      const TraceDiff par(par_a, par_b, groups, options);
-      EXPECT_EQ(par.FormatText(), text) << "jobs=" << jobs << " target=" << target;
-      EXPECT_EQ(par.FormatJson(), json) << "jobs=" << jobs << " target=" << target;
-    }
+  for (const std::size_t target : kShardTargets) {
+    const DecodedTrace a = DecodeWithTarget(raw_a, names, target);
+    const DecodedTrace b = DecodeWithTarget(raw_b, names, target);
+    const TraceDiff diff(a, b, groups, options);
+    EXPECT_EQ(diff.FormatText(), text) << "target=" << target;
+    EXPECT_EQ(diff.FormatJson(), json) << "target=" << target;
   }
 }
 
@@ -419,13 +413,13 @@ TEST(DiffCli, OutputIsByteIdenticalAcrossJobsAndFormats) {
     const char* what;
     const std::string* a;
     const std::string* b;
-    const char* jobs;  // nullptr = serial default
+    const char* jobs;  // nullptr = no --jobs (accepted and ignored)
   };
   const Variant variants[] = {
       {"text jobs=1", &files.a_text, &files.b_text, "1"},
       {"text jobs=2", &files.a_text, &files.b_text, "2"},
       {"text jobs=8", &files.a_text, &files.b_text, "8"},
-      {"binary serial", &files.a_binary, &files.b_binary, nullptr},
+      {"binary", &files.a_binary, &files.b_binary, nullptr},
       {"binary jobs=8", &files.a_binary, &files.b_binary, "8"},
       {"mixed text/binary", &files.a_text, &files.b_binary, nullptr},
   };
@@ -458,14 +452,14 @@ TEST(DiffCli, JsonReportMirrorsTheExitCode) {
   EXPECT_NE(out.find("\"status\": \"regressed\""), std::string::npos);
   EXPECT_EQ(out.find("\"regressions\": 0"), std::string::npos);
 
-  // The JSON twin is also byte-stable across decode paths.
-  std::string parallel_out;
+  // The JSON twin is also byte-stable across storage formats and --jobs.
+  std::string jobs_out;
   EXPECT_EQ(RunDiffCli({files.a_binary.c_str(), files.b_binary.c_str(),
                         files.names.c_str(), "--json", "--jobs", "8"},
-                       &error, &parallel_out),
+                       &error, &jobs_out),
             3)
       << error;
-  EXPECT_EQ(parallel_out, out);
+  EXPECT_EQ(jobs_out, out);
 }
 
 TEST(DiffCli, UsageAndLoadErrors) {

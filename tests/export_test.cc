@@ -1,9 +1,10 @@
 // hwprof_export / src/analysis/export: trace-event JSON and folded-stack
 // renderings. Locks in (a) schema validity of the net-receive export, (b)
-// byte-identity across --jobs (the serial/parallel decode contract carried
-// through to the export layer), (c) exact agreement between slice
-// accumulators recovered from the JSON text and the decoder's per-function
-// totals / the Figure-3 summary, (d) anomaly instant events matching a
+// byte-identity across shard sizes and against the reference decoder (the
+// decode contract carried through to the export layer), (c) exact
+// agreement between slice accumulators recovered from the JSON text and
+// the decoder's per-function totals / the Figure-3 summary, (d) anomaly
+// instant events matching a
 // fault-injected capture's typed counters, and (e) small committed goldens
 // for both formats plus the hwprof_export CLI end to end.
 
@@ -18,7 +19,6 @@
 
 #include "src/analysis/decoder.h"
 #include "src/analysis/export.h"
-#include "src/analysis/parallel.h"
 #include "src/analysis/summary.h"
 #include "src/obs/telemetry.h"
 #include "src/profhw/fault_injection.h"
@@ -64,14 +64,15 @@ void CheckGolden(const std::string& name, const std::string& actual) {
 }
 
 // The golden net-receive capture (same parameters as golden_test's
-// ReferenceDecode), decoded serially and with the parallel engine at 1 and
-// 8 workers. The testbed outlives the decodes: they point into its TagFile.
+// NetReceiveDecode), decoded with Decoder::Decode, with small shards (pooled
+// replay) and by the reference decoder. The testbed outlives the decodes:
+// they point into its TagFile.
 struct NetReceive {
   Testbed tb;
   RawTrace raw;
-  DecodedTrace serial;
-  DecodedTrace jobs1;
-  DecodedTrace jobs8;
+  DecodedTrace decoded;
+  DecodedTrace sharded;
+  DecodedTrace reference;
 };
 
 NetReceive& NetReceiveDecode() {
@@ -80,17 +81,16 @@ NetReceive& NetReceiveDecode() {
     d->tb.Arm();
     RunNetworkReceive(d->tb, Sec(2), 128 * 1024, false);
     d->raw = d->tb.StopAndUpload();
-    d->serial = Decoder::Decode(d->raw, d->tb.tags());
-    d->jobs1 = DecodeParallel(d->raw, d->tb.tags(), ParallelOptions{.jobs = 1});
-    d->jobs8 = DecodeParallel(d->raw, d->tb.tags(),
-                              ParallelOptions{.jobs = 8, .shard_target_ops = 512});
+    d->decoded = Decoder::Decode(d->raw, d->tb.tags());
+    d->sharded = DecodeWithTarget(d->raw, d->tb.tags(), 512);
+    d->reference = ReferenceDecode(d->raw, d->tb.tags());
     return d;
   }();
   return *decoded;
 }
 
 TEST(Export, NetReceiveTraceEventJsonIsValid) {
-  const std::string json = ExportTraceEventJson(NetReceiveDecode().serial);
+  const std::string json = ExportTraceEventJson(NetReceiveDecode().decoded);
   std::string error;
   ASSERT_TRUE(ValidateTraceEventJson(json, &error)) << error;
   TraceEventTotals totals;
@@ -99,20 +99,20 @@ TEST(Export, NetReceiveTraceEventJsonIsValid) {
   EXPECT_GT(totals.counter_samples, 0u);
 }
 
-TEST(Export, ByteIdenticalAcrossJobs) {
+TEST(Export, ByteIdenticalAcrossShardSizesAndTheReference) {
   const NetReceive& d = NetReceiveDecode();
-  const std::string json = ExportTraceEventJson(d.serial);
-  EXPECT_EQ(ExportTraceEventJson(d.jobs1), json)
-      << "--jobs 1 export diverged from serial";
-  EXPECT_EQ(ExportTraceEventJson(d.jobs8), json)
-      << "--jobs 8 export diverged from serial";
-  const std::string folded = ExportFoldedStacks(d.serial);
-  EXPECT_EQ(ExportFoldedStacks(d.jobs1), folded);
-  EXPECT_EQ(ExportFoldedStacks(d.jobs8), folded);
+  const std::string json = ExportTraceEventJson(d.decoded);
+  EXPECT_EQ(ExportTraceEventJson(d.sharded), json)
+      << "small-shard export diverged";
+  EXPECT_EQ(ExportTraceEventJson(d.reference), json)
+      << "export diverged from the reference decoder";
+  const std::string folded = ExportFoldedStacks(d.decoded);
+  EXPECT_EQ(ExportFoldedStacks(d.sharded), folded);
+  EXPECT_EQ(ExportFoldedStacks(d.reference), folded);
 }
 
 TEST(Export, SliceTotalsMatchDecoderAndSummary) {
-  const DecodedTrace& decoded = NetReceiveDecode().serial;
+  const DecodedTrace& decoded = NetReceiveDecode().decoded;
   const std::string json = ExportTraceEventJson(decoded);
   TraceEventTotals totals;
   std::string error;
@@ -136,7 +136,7 @@ TEST(Export, SliceTotalsMatchDecoderAndSummary) {
 }
 
 TEST(Export, FoldedStacksSumToDecoderNetTotal) {
-  const DecodedTrace& decoded = NetReceiveDecode().serial;
+  const DecodedTrace& decoded = NetReceiveDecode().decoded;
   const std::string folded = ExportFoldedStacks(decoded);
   std::uint64_t folded_total = 0;
   std::istringstream lines(folded);
@@ -224,7 +224,7 @@ TEST(Export, CommittedNetReceiveCaptureIsCurrent) {
   TagFile names;
   ASSERT_TRUE(TagFile::Parse(names_text, &names));
   const DecodedTrace decoded = Decoder::Decode(loaded, names);
-  EXPECT_EQ(ExportTraceEventJson(decoded), ExportTraceEventJson(d.serial))
+  EXPECT_EQ(ExportTraceEventJson(decoded), ExportTraceEventJson(d.decoded))
       << "committed capture/names drifted from the live workload; "
       << "regenerate with HWPROF_REGEN_GOLDEN=1";
 }

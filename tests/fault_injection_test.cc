@@ -2,9 +2,10 @@
 // fault-injected capture (bit flips, drops, duplicates, stuck
 // address-counter runs, timer glitches, truncated drains — and text-level
 // corruption of the upload file) must decode to byte-identical observables
-// — including the typed anomaly counters — across the serial decoder, the
-// chunk-fed streaming decoder, and the parallel sharded engine at several
-// worker counts and shard sizes. No injected fault may crash any path.
+// — including the typed anomaly counters — between the one-shot reference
+// decoder and the StreamingDecoder, fed in one piece or in random chunks, at
+// several shard sizes, retaining structure or folding. No injected fault may
+// crash any path.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "src/analysis/decoder.h"
-#include "src/analysis/parallel.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/process_report.h"
 #include "src/base/rng.h"
@@ -24,28 +24,23 @@
 namespace hwprof {
 namespace {
 
-// Mirrors the batch wrappers with salvage corrupt-word injection: what
-// hwprof_analyze --salvage runs.
-DecodedTrace DecodeSerial(const RawTrace& raw, const TagFile& names,
-                          std::uint64_t corrupt_words) {
+// Engine decode with salvage corrupt-word injection (what hwprof_analyze
+// --salvage runs), fed in one piece (chunk_seed 0) or in seeded random
+// chunks.
+DecodedTrace DecodeEngine(const RawTrace& raw, const TagFile& names,
+                          std::uint64_t corrupt_words, std::uint64_t chunk_seed,
+                          std::size_t shard_target, bool retain) {
   StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz,
-                           StreamingOptions{.retain_structure = true});
+                           StreamingOptions{.retain_structure = retain,
+                                            .shard_target_ops = shard_target});
   decoder.NoteCorruptWords(corrupt_words);
   decoder.NoteDropped(raw.dropped_events);
   decoder.SetClockEnvelope(raw.capture_elapsed_ns);
-  decoder.Feed(raw.events);
-  return decoder.Finish(raw.overflowed);
-}
-
-// Chunk-fed streaming decode with a seeded random chunking.
-DecodedTrace DecodeChunked(const RawTrace& raw, const TagFile& names,
-                           std::uint64_t corrupt_words, std::uint64_t chunk_seed) {
+  if (chunk_seed == 0) {
+    decoder.Feed(raw.events);
+    return decoder.Finish(raw.overflowed);
+  }
   Rng rng(chunk_seed);
-  StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz,
-                           StreamingOptions{.retain_structure = true});
-  decoder.NoteCorruptWords(corrupt_words);
-  decoder.NoteDropped(raw.dropped_events);
-  decoder.SetClockEnvelope(raw.capture_elapsed_ns);
   std::size_t at = 0;
   while (at < raw.events.size()) {
     const std::size_t n =
@@ -56,38 +51,23 @@ DecodedTrace DecodeChunked(const RawTrace& raw, const TagFile& names,
   return decoder.Finish(raw.overflowed);
 }
 
-DecodedTrace DecodeParallelJobs(const RawTrace& raw, const TagFile& names,
-                                std::uint64_t corrupt_words, unsigned jobs,
-                                std::size_t shard_target) {
-  ParallelOptions opts;
-  opts.jobs = jobs;
-  opts.shard_target_ops = shard_target;
-  ParallelAnalyzer analyzer(names, raw.timer_bits, raw.timer_clock_hz, opts);
-  analyzer.NoteCorruptWords(corrupt_words);
-  analyzer.NoteDropped(raw.dropped_events);
-  analyzer.SetClockEnvelope(raw.capture_elapsed_ns);
-  analyzer.Feed(raw.events);
-  return analyzer.Finish(raw.overflowed);
-}
-
-// The tentpole contract: anomaly counts and every other observable are
-// byte-identical across serial, streaming, and parallel (--jobs N) paths.
+// The tentpole contract: anomaly counts and every other observable match
+// the reference decoder on every feed shape and shard size.
 void ExpectAllPathsAgree(const RawTrace& raw, const TagFile& names,
                          std::uint64_t corrupt_words, const std::string& what) {
-  const std::string serial = Fingerprint(DecodeSerial(raw, names, corrupt_words));
-  for (std::uint64_t chunk_seed : {1u, 77u}) {
-    ASSERT_EQ(Fingerprint(DecodeChunked(raw, names, corrupt_words, chunk_seed)),
-              serial)
-        << what << " chunk_seed=" << chunk_seed;
-  }
-  for (unsigned jobs : {1u, 2u, 8u}) {
-    for (std::size_t target : {std::size_t{1}, std::size_t{64}}) {
-      ASSERT_EQ(
-          Fingerprint(DecodeParallelJobs(raw, names, corrupt_words, jobs, target)),
-          serial)
-          << what << " jobs=" << jobs << " shard_target_ops=" << target;
+  const DecodedTrace oracle = ReferenceDecode(raw, names, corrupt_words);
+  const std::string expected = Fingerprint(oracle);
+  for (std::uint64_t chunk_seed : {0u, 1u, 77u}) {
+    for (const std::size_t target : kShardTargets) {
+      ASSERT_EQ(Fingerprint(DecodeEngine(raw, names, corrupt_words, chunk_seed, target,
+                                         /*retain=*/true)),
+                expected)
+          << what << " chunk_seed=" << chunk_seed << " shard_target_ops=" << target;
     }
   }
+  ExpectFoldMatchesOracle(
+      DecodeEngine(raw, names, corrupt_words, 77, 64, /*retain=*/false), oracle,
+      what + " fold");
 }
 
 class FaultPlanFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -15,12 +15,12 @@
 #include <string>
 
 #include "src/analysis/decoder.h"
-#include "src/analysis/parallel.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
 #include "src/profhw/binary_trace.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/workloads.h"
+#include "tests/trace_testutil.h"
 #include "tools/convert_main.h"
 
 namespace hwprof {
@@ -60,7 +60,7 @@ void CheckGolden(const std::string& name, const std::string& actual) {
 
 // One fixed capture shared by both goldens (building it dominates runtime).
 // The testbed outlives the decode: DecodedTrace points into its TagFile.
-const DecodedTrace& ReferenceDecode() {
+const DecodedTrace& NetReceiveDecode() {
   static const DecodedTrace* decoded = [] {
     auto* tb = new Testbed();
     tb->Arm();
@@ -72,23 +72,32 @@ const DecodedTrace& ReferenceDecode() {
 }
 
 TEST(Golden, Figure3SummaryOfTheNetworkReceive) {
-  CheckGolden("net_receive_summary.txt", Summary(ReferenceDecode()).Format(20));
+  CheckGolden("net_receive_summary.txt", Summary(NetReceiveDecode()).Format(20));
 }
 
 TEST(Golden, Figure4CodePathTraceOfTheNetworkReceive) {
   TraceReportOptions opts;
   opts.max_lines = 120;
-  CheckGolden("net_receive_trace.txt", TraceReport::Format(ReferenceDecode(), opts));
+  CheckGolden("net_receive_trace.txt", TraceReport::Format(NetReceiveDecode(), opts));
 }
 
-// Captures for the Table 1 and Figure 5 goldens, each decoded through BOTH
-// the serial decoder and the parallel sharded engine: the golden file pins
-// the report, and the second decode pins the serial/parallel equivalence on
-// a real workload (small shards force actual stitching).
+// Captures for the Table 1 and Figure 5 goldens. The golden file pins the
+// report of Decoder::Decode; the fingerprints pin that decode, and one cut
+// into small shards (forcing pooled replay and stitching), to the reference
+// decoder on a real workload.
 struct DualDecode {
   Testbed tb;
-  DecodedTrace serial;
-  DecodedTrace parallel;
+  DecodedTrace decoded;
+  std::string decoded_fingerprint;
+  std::string sharded_fingerprint;
+  std::string reference_fingerprint;
+
+  void DecodeAll(const RawTrace& raw) {
+    decoded = Decoder::Decode(raw, tb.tags());
+    decoded_fingerprint = Fingerprint(decoded);
+    sharded_fingerprint = Fingerprint(DecodeWithTarget(raw, tb.tags(), 512));
+    reference_fingerprint = Fingerprint(ReferenceDecode(raw, tb.tags()));
+  }
 };
 
 const DualDecode& MixedDecode() {
@@ -97,9 +106,7 @@ const DualDecode& MixedDecode() {
     d->tb.Arm();
     RunMixed(d->tb, Msec(300));
     const RawTrace raw = d->tb.StopAndUpload();
-    d->serial = Decoder::Decode(raw, d->tb.tags());
-    d->parallel = DecodeParallel(raw, d->tb.tags(),
-                                 ParallelOptions{.jobs = 4, .shard_target_ops = 512});
+    d->DecodeAll(raw);
     return d;
   }();
   return *decoded;
@@ -111,27 +118,29 @@ const DualDecode& ForkExecDecode() {
     d->tb.Arm();
     RunForkExec(d->tb, 3, Sec(2));
     const RawTrace raw = d->tb.StopAndUpload();
-    d->serial = Decoder::Decode(raw, d->tb.tags());
-    d->parallel = DecodeParallel(raw, d->tb.tags(),
-                                 ParallelOptions{.jobs = 4, .shard_target_ops = 512});
+    d->DecodeAll(raw);
     return d;
   }();
   return *decoded;
 }
 
 TEST(Golden, Table1PerFunctionTimingsOfTheMixedWorkload) {
-  const std::string report = Summary(MixedDecode().serial).Format(30);
-  EXPECT_EQ(Summary(MixedDecode().parallel).Format(30), report)
-      << "parallel decode diverged from serial on the mixed capture";
+  const std::string report = Summary(MixedDecode().decoded).Format(30);
+  EXPECT_EQ(MixedDecode().decoded_fingerprint, MixedDecode().reference_fingerprint)
+      << "decode diverged from the reference decoder on the mixed capture";
+  EXPECT_EQ(MixedDecode().sharded_fingerprint, MixedDecode().reference_fingerprint)
+      << "sharded decode diverged from the reference decoder on the mixed capture";
   CheckGolden("mixed_summary.txt", report);
 }
 
 TEST(Golden, Figure5ForkExecCodePath) {
   TraceReportOptions opts;
   opts.max_lines = 160;
-  const std::string report = TraceReport::Format(ForkExecDecode().serial, opts);
-  EXPECT_EQ(TraceReport::Format(ForkExecDecode().parallel, opts), report)
-      << "parallel decode diverged from serial on the fork/exec capture";
+  const std::string report = TraceReport::Format(ForkExecDecode().decoded, opts);
+  EXPECT_EQ(ForkExecDecode().decoded_fingerprint, ForkExecDecode().reference_fingerprint)
+      << "decode diverged from the reference decoder on the fork/exec capture";
+  EXPECT_EQ(ForkExecDecode().sharded_fingerprint, ForkExecDecode().reference_fingerprint)
+      << "sharded decode diverged from the reference decoder on the fork/exec capture";
   CheckGolden("fork_exec_trace.txt", report);
 }
 

@@ -191,7 +191,7 @@ TEST(AnalyzeCli, JsonReportCarriesTheAnomalyCounters) {
   EXPECT_NE(out.find("\"functions\": ["), std::string::npos);
   EXPECT_NE(out.find("\"pct_real\":"), std::string::npos);
 
-  // Serial and parallel decodes emit byte-identical JSON.
+  // --jobs is accepted and ignored: the JSON is byte-identical.
   ::testing::internal::CaptureStdout();
   EXPECT_EQ(RunCli({files.capture.c_str(), files.names.c_str(), "--json", "--jobs", "8"},
                    &error),

@@ -1,9 +1,10 @@
 // Shared helpers for the differential-equivalence tests: a small names
 // file, adversarial fuzz-trace generators, and a fingerprint that renders
 // EVERY observable of a decoded trace — all four reports plus every counter
-// and attribution map — to one comparable string. Serial, streaming and
-// parallel decodes of the same capture must produce byte-identical
-// fingerprints; the fuzz suites assert exactly that.
+// and attribution map — to one comparable string. Every decode of a capture,
+// however it is fed and however many shards it is cut into, must produce
+// the fingerprint of the one-shot reference decoder (tests/
+// reference_decoder.h); the fuzz suites assert exactly that.
 
 #ifndef HWPROF_TESTS_TRACE_TESTUTIL_H_
 #define HWPROF_TESTS_TRACE_TESTUTIL_H_
@@ -17,7 +18,6 @@
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
-#include "src/analysis/parallel.h"
 #include "src/analysis/process_report.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
@@ -25,6 +25,7 @@
 #include "src/base/rng.h"
 #include "src/instr/tag_file.h"
 #include "src/profhw/raw_trace.h"
+#include "tests/reference_decoder.h"
 
 namespace hwprof {
 
@@ -63,18 +64,21 @@ std::string DumpMap(const Map& m) {
   return out;
 }
 
-inline std::string Fingerprint(const DecodedTrace& d) {
+// What the stats-only consumers (Summary, hwprofd) see: everything in the
+// fingerprint except the trees and steps that fold mode does not build.
+inline std::string StatsFingerprint(const DecodedTrace& d) {
   std::string out = Summary(d).Format(0);
-  out += "\n--callgraph--\n" + CallGraph(d).Format(d);
-  out += "\n--processes--\n" + ProcessReport(d).Format(d);
-  out += "\n--trace--\n" + TraceReport::Format(d);
-  out += "\n|events=" + std::to_string(d.event_count);
+  for (const auto& [name, s] : d.per_function) {
+    out += "|" + name + ":" + std::to_string(s.calls) + "," + std::to_string(s.elapsed) +
+           "," + std::to_string(s.net) + "," + std::to_string(s.min_net) + "," +
+           std::to_string(s.max_net) + "," + std::to_string(s.context_switch);
+  }
+  out += "|events=" + std::to_string(d.event_count);
   out += "|truncated=" + std::to_string(d.truncated);
   out += "|start=" + std::to_string(d.start_time);
   out += "|end=" + std::to_string(d.end_time);
   out += "|idle=" + std::to_string(d.idle_time);
   out += "|stacks=" + std::to_string(d.stacks.size());
-  out += "|steps=" + std::to_string(d.steps.size());
   out += "|unknown=" + std::to_string(d.unknown_tags) + DumpMap(d.unknown_tag_counts);
   out += "|orphan=" + std::to_string(d.orphan_exits) + DumpMap(d.orphan_exit_counts);
   out += "|preopen=" + DumpMap(d.preopen_exit_counts);
@@ -86,6 +90,17 @@ inline std::string Fingerprint(const DecodedTrace& d) {
   out += "|impossible=" + std::to_string(d.impossible_deltas);
   out += "|wrap_ambiguous=" + std::to_string(d.wrap_ambiguous_gaps);
   out += "|unaccounted=" + std::to_string(d.unaccounted_time);
+  return out;
+}
+
+// Every observable: the statistics plus the reports built from the trees
+// and steps.
+inline std::string Fingerprint(const DecodedTrace& d) {
+  std::string out = StatsFingerprint(d);
+  out += "\n--callgraph--\n" + CallGraph(d).Format(d);
+  out += "\n--processes--\n" + ProcessReport(d).Format(d);
+  out += "\n--trace--\n" + TraceReport::Format(d);
+  out += "|steps=" + std::to_string(d.steps.size());
   return out;
 }
 
@@ -143,18 +158,54 @@ inline RawTrace FuzzTrace(std::uint64_t seed, int length) {
   return raw;
 }
 
-inline void ExpectParallelMatchesSerial(const RawTrace& raw, const TagFile& names,
-                                        const std::string& what) {
-  const std::string serial = Fingerprint(Decoder::Decode(raw, names));
-  for (unsigned jobs : {1u, 2u, 3u, 8u}) {
-    for (std::size_t target : {std::size_t{1}, std::size_t{64}}) {
-      ParallelOptions opts;
-      opts.jobs = jobs;
-      opts.shard_target_ops = target;
-      const std::string par = Fingerprint(DecodeParallel(raw, names, opts));
-      ASSERT_EQ(par, serial)
-          << what << " jobs=" << jobs << " shard_target_ops=" << target;
+// Shard targets every differential suite runs: one op per shard and 64
+// (many shards, pooled replay) and the default (usually one inline shard).
+inline constexpr std::size_t kShardTargets[] = {1, 64, StreamingOptions{}.shard_target_ops};
+
+// Fold mode frees every call as it closes: after Finish no tree may still
+// hold a closed call, and no step is recorded.
+inline bool HasClosedCall(const CallNode& node) {
+  for (const auto& child : node.children) {
+    if (child->closed || HasClosedCall(*child)) {
+      return true;
     }
+  }
+  return false;
+}
+
+inline void ExpectFoldMatchesOracle(const DecodedTrace& fold, const DecodedTrace& oracle,
+                                    const std::string& what) {
+  EXPECT_EQ(StatsFingerprint(fold), StatsFingerprint(oracle)) << what;
+  EXPECT_TRUE(fold.steps.empty()) << what;
+  for (const auto& stack : fold.stacks) {
+    EXPECT_FALSE(HasClosedCall(*stack->root)) << what << " stack " << stack->id;
+  }
+}
+
+// One-shot engine decode with the batch wrappers' accounting.
+inline DecodedTrace DecodeWithTarget(const RawTrace& raw, const TagFile& names,
+                                     std::size_t shard_target, bool retain = true) {
+  StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz,
+                           StreamingOptions{.retain_structure = retain,
+                                            .shard_target_ops = shard_target});
+  decoder.NoteDropped(raw.dropped_events);
+  decoder.SetClockEnvelope(raw.capture_elapsed_ns);
+  decoder.Feed(raw.events);
+  return decoder.Finish(raw.overflowed);
+}
+
+// Decoder::Decode and the engine at every shard target, retain and fold,
+// against the oracle.
+inline void ExpectEngineMatchesOracle(const RawTrace& raw, const TagFile& names,
+                                      const std::string& what) {
+  const DecodedTrace oracle = ReferenceDecode(raw, names);
+  const std::string expected = Fingerprint(oracle);
+  ASSERT_EQ(Fingerprint(Decoder::Decode(raw, names)), expected) << what;
+  for (const std::size_t target : kShardTargets) {
+    ASSERT_EQ(Fingerprint(DecodeWithTarget(raw, names, target)), expected)
+        << what << " shard_target_ops=" << target;
+    ExpectFoldMatchesOracle(DecodeWithTarget(raw, names, target, /*retain=*/false),
+                            oracle, what + " fold shard_target_ops=" + std::to_string(target));
   }
 }
 

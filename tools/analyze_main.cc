@@ -11,7 +11,6 @@
 #include "src/analysis/decoder.h"
 #include "src/analysis/diff.h"
 #include "src/analysis/grouping.h"
-#include "src/analysis/parallel.h"
 #include "src/analysis/histogram.h"
 #include "src/analysis/process_report.h"
 #include "src/analysis/summary.h"
@@ -74,26 +73,17 @@ std::uint64_t AnomalyTotal(const DecodedTrace& d) {
          d.MidTraceUnclosedEntries();
 }
 
-// The batch wrappers (Decoder::Decode / DecodeParallel) plus salvage-load
-// corrupt-word accounting, which has to be injected before the feed.
-DecodedTrace DecodeCapture(const RawTrace& raw, const TagFile& names, bool serial,
-                           unsigned jobs, std::uint64_t corrupt_words) {
-  if (serial) {
-    StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz,
-                             StreamingOptions{.retain_structure = true});
-    decoder.NoteCorruptWords(corrupt_words);
-    decoder.NoteDropped(raw.dropped_events);
-    decoder.SetClockEnvelope(raw.capture_elapsed_ns);
-    decoder.Feed(raw.events);
-    return decoder.Finish(raw.overflowed);
-  }
-  ParallelAnalyzer analyzer(names, raw.timer_bits, raw.timer_clock_hz,
-                            ParallelOptions{.jobs = jobs});
-  analyzer.NoteCorruptWords(corrupt_words);
-  analyzer.NoteDropped(raw.dropped_events);
-  analyzer.SetClockEnvelope(raw.capture_elapsed_ns);
-  analyzer.Feed(raw.events);
-  return analyzer.Finish(raw.overflowed);
+// Decoder::Decode plus salvage-load corrupt-word accounting, which has to be
+// injected before the feed.
+DecodedTrace DecodeCapture(const RawTrace& raw, const TagFile& names,
+                           std::uint64_t corrupt_words) {
+  StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz,
+                           StreamingOptions{.retain_structure = true});
+  decoder.NoteCorruptWords(corrupt_words);
+  decoder.NoteDropped(raw.dropped_events);
+  decoder.SetClockEnvelope(raw.capture_elapsed_ns);
+  decoder.Feed(raw.events);
+  return decoder.Finish(raw.overflowed);
 }
 
 // Zero-copy fast path for binary capture containers: the chunk reader
@@ -102,8 +92,8 @@ DecodedTrace DecodeCapture(const RawTrace& raw, const TagFile& names, bool seria
 // accounting matches the load-then-decode path exactly (the format-matrix
 // tests pin this). Returns false with `error` set on a load/parse failure.
 bool DecodeBinaryCaptureFile(const std::string& path, const TagFile& names,
-                             bool serial, unsigned jobs, bool salvage,
-                             DecodedTrace* decoded, std::string* error) {
+                             bool salvage, DecodedTrace* decoded,
+                             std::string* error) {
   MappedFile file;
   if (!file.Open(path)) {
     *error = StrFormat("cannot load capture '%s'\n%s: cannot open file",
@@ -126,31 +116,20 @@ bool DecodeBinaryCaptureFile(const std::string& path, const TagFile& names,
     }
     return fail();
   }
-  auto run = [&](auto& engine) {
-    engine.NoteDropped(reader.dropped_events());
-    engine.SetClockEnvelope(reader.capture_elapsed_ns());
-    SoaChunk chunk;
-    while (reader.Next(&chunk)) {
-      if (chunk.dropped_before > 0) {
-        engine.NoteDropped(chunk.dropped_before);
-      }
-      engine.FeedSoA(chunk.tags.data(), chunk.timestamps.data(),
-                     chunk.tags.size());
+  StreamingDecoder decoder(names, reader.timer_bits(), reader.timer_clock_hz(),
+                           StreamingOptions{.retain_structure = true});
+  decoder.NoteDropped(reader.dropped_events());
+  decoder.SetClockEnvelope(reader.capture_elapsed_ns());
+  SoaChunk chunk;
+  while (reader.Next(&chunk)) {
+    if (chunk.dropped_before > 0) {
+      decoder.NoteDropped(chunk.dropped_before);
     }
-    engine.NoteCorruptWords(reader.corrupt_words());
-    *decoded = engine.Finish(reader.overflowed());
-  };
-  if (serial) {
-    StreamingDecoder decoder(names, reader.timer_bits(),
-                             reader.timer_clock_hz(),
-                             StreamingOptions{.retain_structure = true});
-    run(decoder);
-  } else {
-    ParallelAnalyzer analyzer(names, reader.timer_bits(),
-                              reader.timer_clock_hz(),
-                              ParallelOptions{.jobs = jobs});
-    run(analyzer);
+    decoder.FeedSoA(chunk.tags.data(), chunk.timestamps.data(),
+                    chunk.tags.size());
   }
+  decoder.NoteCorruptWords(reader.corrupt_words());
+  *decoded = decoder.Finish(reader.overflowed());
   if (!salvage && reader.failed()) {
     return fail();
   }
@@ -163,16 +142,15 @@ bool DecodeBinaryCaptureFile(const std::string& path, const TagFile& names,
 
 // One capture file of either format to a DecodedTrace: binary containers go
 // through the zero-copy chunk reader, text through the load-then-decode
-// path, both honouring --jobs/--salvage. Shared by the single-capture
-// reports and both sides of --diff.
+// path, both honouring --salvage. Shared by the single-capture reports and
+// both sides of --diff.
 bool DecodeAnyCaptureFile(const std::string& path, const TagFile& names,
-                          bool serial, unsigned jobs, bool salvage,
-                          DecodedTrace* decoded, std::string* error) {
+                          bool salvage, DecodedTrace* decoded,
+                          std::string* error) {
   CaptureFileInfo finfo;
   if (DetectCaptureFile(path, &finfo) && finfo.format == CaptureFormat::kBinary &&
       !finfo.is_stream) {
-    return DecodeBinaryCaptureFile(path, names, serial, jobs, salvage, decoded,
-                                   error);
+    return DecodeBinaryCaptureFile(path, names, salvage, decoded, error);
   }
   RawTrace raw;
   std::vector<TraceDiag> capture_diags;
@@ -189,7 +167,7 @@ bool DecodeAnyCaptureFile(const std::string& path, const TagFile& names,
     std::printf("warning: %s:%d: %s (salvaged)\n", path.c_str(), d.line,
                 d.message.c_str());
   }
-  *decoded = DecodeCapture(raw, names, serial, jobs, corrupt_words);
+  *decoded = DecodeCapture(raw, names, corrupt_words);
   return true;
 }
 
@@ -224,8 +202,7 @@ void AppendJsonString(const std::string& s, std::string* out) {
 }
 
 // Machine-readable report: capture header, the typed anomaly counters, and
-// every summary row. Built only from the DecodedTrace, so serial and
-// parallel decodes emit byte-identical JSON.
+// every summary row, built only from the DecodedTrace.
 std::string FormatJson(const DecodedTrace& decoded) {
   const Summary summary(decoded);
   auto u64 = [](std::uint64_t v) {
@@ -284,10 +261,6 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
   bool progress = false;
   bool stats = false;
   bool stats_json = false;
-  // Default 1: live per-chunk summaries need the serial decoder's stats
-  // snapshot. `--jobs 0` (or >1) hands decided chunks to the worker pool
-  // instead and prints the summary once, from the merged final trace.
-  unsigned jobs = 1;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next_number = [&](std::size_t fallback) -> std::size_t {
@@ -307,7 +280,7 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
     } else if (arg == "--poll") {
       polls = static_cast<int>(next_number(1));
     } else if (arg == "--jobs") {
-      jobs = static_cast<unsigned>(next_number(0));
+      next_number(0);  // accepted and ignored
     } else if (arg == "--salvage") {
       salvage = true;
     } else if (arg == "--progress") {
@@ -373,51 +346,6 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
                  static_cast<unsigned long long>(anomalies), rate, secs);
   };
 
-  if (jobs != 1) {
-    ParallelOptions popts;
-    popts.jobs = jobs;
-    ParallelAnalyzer analyzer(names, capture.timer_bits, capture.timer_clock_hz, popts);
-    analyzer.NoteCorruptWords(corrupt_delta);
-    std::size_t fed = 0;
-    for (int pass = 0; pass < polls; ++pass) {
-      if (pass > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        if (!load("re-read", &capture, &corrupt_delta)) {
-          return 1;
-        }
-        analyzer.NoteCorruptWords(corrupt_delta);
-      }
-      const std::size_t complete = capture.chunks.size() - (capture.truncated_tail ? 1 : 0);
-      for (; fed < complete; ++fed) {
-        const TraceChunk& chunk = capture.chunks[fed];
-        analyzer.FeedChunk(chunk);
-        std::printf(
-            "chunk %zu: %zu events (%llu dropped before) | stream so far: %llu events, "
-            "%llu dropped, %zu shards in flight\n",
-            fed, chunk.events.size(),
-            static_cast<unsigned long long>(chunk.dropped_before),
-            static_cast<unsigned long long>(analyzer.events_seen()),
-            static_cast<unsigned long long>(analyzer.dropped_events()),
-            analyzer.shards_planned());
-        heartbeat(analyzer.events_seen(), analyzer.dropped_events());
-      }
-    }
-    bool truncated = false;
-    if (capture.truncated_tail && fed < capture.chunks.size()) {
-      analyzer.FeedChunk(capture.chunks[fed]);
-      ++fed;
-      truncated = true;
-    }
-    const DecodedTrace decoded = analyzer.Finish(truncated);
-    std::printf("end of stream: %zu chunks, %llu events, %llu dropped in %llu gaps%s\n",
-                fed, static_cast<unsigned long long>(decoded.event_count),
-                static_cast<unsigned long long>(decoded.dropped_events),
-                static_cast<unsigned long long>(decoded.capture_gaps),
-                truncated ? " (truncated tail)" : "");
-    std::printf("%s\n", Summary(decoded).Format(rows).c_str());
-    PrintTelemetry(stats, stats_json);
-    return 0;
-  }
   StreamingDecoder decoder(names, capture.timer_bits, capture.timer_clock_hz);
   decoder.NoteCorruptWords(corrupt_delta);
   std::size_t fed = 0;
@@ -463,8 +391,8 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
   return 0;
 }
 
-// `hwprof_analyze --diff A B <names>`: decode both captures (any format,
-// any --jobs) against the shared names file and print the three-granularity
+// `hwprof_analyze --diff A B <names>`: decode both captures (any format)
+// against the shared names file and print the three-granularity
 // regression report. Exit codes: 0 no regression, 3 at least one gated row
 // regressed beyond --noise-pct (and the --quantum-us floor), 1 load
 // failure, 2 usage. `--gate net` demotes the per-call-edge section to
@@ -485,8 +413,6 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
   double quantum_us = 0.0;
   bool gate_edges = true;
   bool json = false;
-  unsigned jobs = 0;
-  bool serial = false;
   bool salvage = false;
   for (int i = 5; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -519,13 +445,11 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
-      std::uint64_t value = 0;
+      std::uint64_t value = 0;  // accepted and ignored
       if (!ParseUint(argv[++i], &value)) {
         *error = StrFormat("--jobs needs a number, got '%s'", argv[i]);
         return 2;
       }
-      jobs = static_cast<unsigned>(value);
-      serial = (jobs == 1);
     } else if (arg == "--salvage") {
       salvage = true;
     } else {
@@ -548,8 +472,8 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
 
   DecodedTrace baseline;
   DecodedTrace candidate;
-  if (!DecodeAnyCaptureFile(path_a, names, serial, jobs, salvage, &baseline, error) ||
-      !DecodeAnyCaptureFile(path_b, names, serial, jobs, salvage, &candidate, error)) {
+  if (!DecodeAnyCaptureFile(path_a, names, salvage, &baseline, error) ||
+      !DecodeAnyCaptureFile(path_b, names, salvage, &candidate, error)) {
     return 1;
   }
 
@@ -603,22 +527,11 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
     }
   }
 
-  // `--jobs` and `--salvage` are resolved before decoding; the remaining
-  // options are consumed by the report loop below. `--jobs 1` selects the
-  // serial decoder outright; any other value shards the decode across a
-  // worker pool (0 = hardware concurrency) with byte-identical output.
-  unsigned jobs = 0;
-  bool serial = false;
+  // `--salvage` is resolved before decoding; the remaining options are
+  // consumed by the report loop below (`--jobs N` is accepted and ignored).
   bool salvage = false;
   for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      std::uint64_t value = 0;
-      if (ParseUint(argv[i + 1], &value)) {
-        jobs = static_cast<unsigned>(value);
-        serial = (jobs == 1);
-      }
-    } else if (arg == "--salvage") {
+    if (std::string(argv[i]) == "--salvage") {
       salvage = true;
     }
   }
@@ -637,8 +550,7 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
     return 1;
   }
   DecodedTrace decoded;
-  if (!DecodeAnyCaptureFile(argv[1], names, serial, jobs, salvage, &decoded,
-                            error)) {
+  if (!DecodeAnyCaptureFile(argv[1], names, salvage, &decoded, error)) {
     return 1;
   }
   if (decoded.unknown_tags > 0) {
@@ -711,7 +623,7 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
                    static_cast<unsigned long long>(decoded.event_count),
                    static_cast<unsigned long long>(AnomalyTotal(decoded)));
     } else if (arg == "--jobs") {
-      next_number(0);  // already consumed before the decode
+      next_number(0);  // accepted and ignored
     } else if (arg == "--salvage") {
       // already consumed before the load
     } else {

@@ -10,6 +10,8 @@ namespace hwprof {
 
 // Runs the analyzer:
 //   hwprof_analyze <capture-file> <names-file> [options]
+//   hwprof_analyze <stream-file> <names-file> --follow [options]
+//     (--follow always prints a live summary after every drained chunk)
 // Options:
 //   --summary N      top-N function summary (default report, N=20)
 //   --trace N        first N code-path trace lines
@@ -22,9 +24,8 @@ namespace hwprof {
 //   --salvage        tolerate corrupt capture files: unreadable lines are
 //                    warned about, counted as corrupt-word anomalies and
 //                    skipped instead of failing the load
-//   --jobs N         decode with N worker threads (0 or omitted: hardware
-//                    concurrency; 1: serial). Output is byte-identical at
-//                    every N.
+//   --jobs N         accepted and ignored: the decoder starts worker
+//                    threads by itself once a capture spans two shards
 //   --stats          append the pipeline-telemetry section (src/obs
 //                    counters, gauges and latency histograms for the load,
 //                    decode, shard-replay and merge stages of this run)

@@ -6,7 +6,6 @@
 
 #include "src/analysis/decoder.h"
 #include "src/analysis/export.h"
-#include "src/analysis/parallel.h"
 #include "src/base/strings.h"
 #include "src/obs/telemetry.h"
 #include "src/profhw/smart_socket.h"
@@ -38,25 +37,25 @@ bool ReadFileToString(const std::string& path, std::string* out) {
   return true;
 }
 
-// Decodes either capture flavour through either engine; both pairs are
-// byte-identical by contract, so the caller's --jobs choice never shows in
-// the export.
-template <typename Engine>
-DecodedTrace DecodeWith(Engine&& engine, const RawTrace* raw,
-                        const StreamCapture* stream,
-                        std::uint64_t corrupt_words) {
-  engine.NoteCorruptWords(corrupt_words);
+// Decodes either capture flavour with the full call structure retained.
+DecodedTrace DecodeForExport(const TagFile& names, const RawTrace* raw,
+                             const StreamCapture* stream,
+                             std::uint64_t corrupt_words) {
+  StreamingDecoder decoder(
+      names, raw != nullptr ? raw->timer_bits : stream->timer_bits,
+      raw != nullptr ? raw->timer_clock_hz : stream->timer_clock_hz,
+      StreamingOptions{.retain_structure = true});
+  decoder.NoteCorruptWords(corrupt_words);
   if (raw != nullptr) {
-    engine.NoteDropped(raw->dropped_events);
-    engine.SetClockEnvelope(raw->capture_elapsed_ns);
-    engine.Feed(raw->events);
-    return engine.Finish(raw->overflowed);
+    decoder.NoteDropped(raw->dropped_events);
+    decoder.SetClockEnvelope(raw->capture_elapsed_ns);
+    decoder.Feed(raw->events);
+    return decoder.Finish(raw->overflowed);
   }
-  const std::size_t chunks = stream->chunks.size();
-  for (std::size_t i = 0; i < chunks; ++i) {
-    engine.FeedChunk(stream->chunks[i]);
+  for (const TraceChunk& chunk : stream->chunks) {
+    decoder.FeedChunk(chunk);
   }
-  return engine.Finish(stream->truncated_tail);
+  return decoder.Finish(stream->truncated_tail);
 }
 
 }  // namespace
@@ -72,8 +71,6 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
   const std::string names_path = argv[2];
   std::string format = "trace-event";
   std::string out_path;
-  unsigned jobs = 0;
-  bool serial = false;
   bool salvage = false;
   bool stats = false;
   bool telemetry = false;
@@ -84,14 +81,12 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
-      std::uint64_t value = 0;
+      std::uint64_t value = 0;  // accepted and ignored
       if (!ParseUint(argv[i + 1], &value)) {
         *error = StrFormat("--jobs needs a number, got '%s'", argv[i + 1]);
         return 2;
       }
       ++i;
-      jobs = static_cast<unsigned>(value);
-      serial = (jobs == 1);
     } else if (arg == "--salvage") {
       salvage = true;
     } else if (arg == "--stats") {
@@ -162,28 +157,16 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
                  capture_path.c_str(), d.line, d.message.c_str());
   }
 
-  const RawTrace* raw_in = is_stream ? nullptr : &raw;
-  const StreamCapture* stream_in = is_stream ? &stream : nullptr;
-  const unsigned timer_bits = is_stream ? stream.timer_bits : raw.timer_bits;
-  const std::uint64_t timer_hz =
-      is_stream ? stream.timer_clock_hz : raw.timer_clock_hz;
   OBS_SPAN_BEGIN(decode);
   const DecodedTrace decoded =
-      serial ? DecodeWith(
-                   StreamingDecoder(names, timer_bits, timer_hz,
-                                    StreamingOptions{.retain_structure = true}),
-                   raw_in, stream_in, corrupt_words)
-             : DecodeWith(ParallelAnalyzer(names, timer_bits, timer_hz,
-                                           ParallelOptions{.jobs = jobs}),
-                          raw_in, stream_in, corrupt_words);
+      DecodeForExport(names, is_stream ? nullptr : &raw,
+                      is_stream ? &stream : nullptr, corrupt_words);
   OBS_SPAN_END(decode, "export.decode");
 
-  // The telemetry tracks render only counters whose totals are independent
-  // of the decode path chosen by --jobs: the per-decode anomaly ledger
-  // (RecordDecodeTelemetry runs identically under both engines) and the
-  // load-side socket counters. Engine-internal counters (decode.chunks,
-  // parallel.shards, ...) differ between serial and sharded runs and would
-  // break the export's byte-identity contract.
+  // The telemetry tracks render only counters that describe the capture:
+  // the per-decode anomaly ledger and the load-side socket counters.
+  // Engine-internal counters (decode.chunks, parallel.shards, ...) depend
+  // on how the decoder cut and replayed the capture, not on what it holds.
   obs::Snapshot telemetry_counters;
   if (telemetry) {
     static constexpr std::string_view kInvariantPrefixes[] = {

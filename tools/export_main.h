@@ -19,16 +19,13 @@ namespace hwprof {
 //                    folded: folded-stack text for flamegraph.pl /
 //                    speedscope, weighted by net nanoseconds.
 //   --out FILE       write to FILE instead of stdout
-//   --jobs N         decode with N worker threads (0 or omitted: hardware
-//                    concurrency; 1: serial). The export is byte-identical
-//                    at every N.
+//   --jobs N         accepted and ignored (as hwprof_analyze)
 //   --salvage        tolerate corrupt capture files (as hwprof_analyze)
 //   --stats          append the pipeline-telemetry section to stderr
 //   --telemetry      (trace-event only) add one "C" counter track per
 //                    path-invariant pipeline counter (decode.anomaly.*,
 //                    decode.finishes, socket.*) so anomaly totals are
-//                    visible on the timeline; still byte-identical at
-//                    every --jobs N
+//                    visible on the timeline
 // Returns 0 on success; errors land in `*error` with file:line:reason
 // diagnostics where the loaders provide them.
 int ExportMain(int argc, const char* const* argv, std::string* error);
