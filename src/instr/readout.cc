@@ -1,5 +1,8 @@
 #include "src/instr/readout.h"
 
+#include <cstdint>
+#include <vector>
+
 #include "src/base/assert.h"
 #include "src/instr/profile_scope.h"
 #include "src/obs/telemetry.h"
@@ -94,18 +97,18 @@ bool DrainChunk(Machine& machine, Instrumenter& instr, Profiler& profiler, Trace
   const std::uint32_t count = read_u32(kDrainCountPort);
   HWPROF_CHECK_MSG(count <= profiler.capacity(), "implausible drain count");
   out->dropped_before = read_u32(kDrainDropPort);
+  // The data port walks count × 2 tag bytes, then count × 3 timestamp bytes,
+  // one ISA cycle each; the bank is sealed, so they move as one span.
+  std::vector<std::uint8_t> bytes(std::size_t{count} * 5);
+  machine.SocketReadSpan(base + kDrainDataPort, bytes.data(), bytes.size());
+  const std::uint8_t* tag = bytes.data();
+  const std::uint8_t* stamp = tag + std::size_t{count} * 2;
   out->events.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint16_t lo = read_byte(kDrainDataPort);
-    const std::uint16_t hi = read_byte(kDrainDataPort);
-    out->events[i].tag = static_cast<std::uint16_t>(lo | (hi << 8));
-  }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t timestamp = 0;
-    for (std::uint32_t b = 0; b < 3; ++b) {
-      timestamp |= static_cast<std::uint32_t>(read_byte(kDrainDataPort)) << (8 * b);
-    }
-    out->events[i].timestamp = timestamp;
+  for (RawEvent& e : out->events) {
+    e.tag = static_cast<std::uint16_t>(tag[0] | (tag[1] << 8));
+    e.timestamp = static_cast<std::uint32_t>(stamp[0] | (stamp[1] << 8) | (stamp[2] << 16));
+    tag += 2;
+    stamp += 3;
   }
   const std::uint8_t ack = read_byte(kDrainReleasePort);
   HWPROF_CHECK_MSG(ack == kDrainAck, "drain release not acknowledged");

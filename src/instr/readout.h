@@ -29,8 +29,10 @@ RawTrace InBandReadout(Machine& machine, Instrumenter& instr, Profiler& profiler
 // The kernel-side drain routine (profdrain): reads the sealed standby bank
 // through the drain ports in the upper half of the socket window while
 // capture continues in the other bank, then releases the bank back to the
-// board. Every byte costs a real ISA cycle, and the routine's own
-// entry/exit triggers land in the active bank — the drain profiles itself.
+// board. Every byte costs a real ISA cycle in virtual time; the sealed
+// bank's data bytes move host-side as one Machine::SocketReadSpan. The
+// routine's own entry/exit triggers land in the active bank — the drain
+// profiles itself.
 //
 // Returns false (and leaves `*out` empty) when no sealed bank is ready.
 bool DrainChunk(Machine& machine, Instrumenter& instr, Profiler& profiler, TraceChunk* out);

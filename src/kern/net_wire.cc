@@ -7,11 +7,33 @@
 
 namespace hwprof {
 
+EtherNode::~EtherNode() {
+  if (segment_ != nullptr) {
+    segment_->Detach(this);
+  }
+}
+
 EtherSegment::EtherSegment(Machine& machine) : machine_(machine) {}
+
+EtherSegment::~EtherSegment() {
+  for (EtherNode* node : nodes_) {
+    node->segment_ = nullptr;
+  }
+}
 
 void EtherSegment::Attach(EtherNode* node) {
   HWPROF_CHECK(node != nullptr);
+  HWPROF_CHECK_MSG(node->segment_ == nullptr, "node already attached to a segment");
+  node->segment_ = this;
   nodes_.push_back(node);
+}
+
+void EtherSegment::Detach(EtherNode* node) {
+  if (node == nullptr || node->segment_ != this) {
+    return;
+  }
+  node->segment_ = nullptr;
+  nodes_.erase(std::remove(nodes_.begin(), nodes_.end(), node), nodes_.end());
 }
 
 Nanoseconds EtherSegment::Transmit(std::uint8_t sender, Bytes frame) {

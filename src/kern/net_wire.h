@@ -17,13 +17,25 @@
 
 namespace hwprof {
 
+class EtherSegment;
+
 class EtherNode {
  public:
-  virtual ~EtherNode() = default;
+  EtherNode() = default;
+  EtherNode(const EtherNode&) = delete;
+  EtherNode& operator=(const EtherNode&) = delete;
+  // Detaches from the segment, so a destroyed host is never delivered a
+  // frame — not even one already on the wire.
+  virtual ~EtherNode();
   // Node id = the low byte of the station's MAC address.
   virtual std::uint8_t node_id() const = 0;
-  // Called at frame delivery time (end of the frame on the wire).
+  // Called at frame delivery time (end of the frame on the wire). Must not
+  // attach or detach nodes.
   virtual void OnFrame(const Bytes& frame) = 0;
+
+ private:
+  friend class EtherSegment;
+  EtherSegment* segment_ = nullptr;  // the segment attached to, if any
 };
 
 class EtherSegment {
@@ -31,8 +43,14 @@ class EtherSegment {
   explicit EtherSegment(Machine& machine);
   EtherSegment(const EtherSegment&) = delete;
   EtherSegment& operator=(const EtherSegment&) = delete;
+  // Releases the nodes still attached (they may outlive the segment).
+  ~EtherSegment();
 
+  // A node is attached to at most one segment at a time.
   void Attach(EtherNode* node);
+  // Stops delivering frames to `node`, including frames already in flight.
+  // A node not attached here is ignored.
+  void Detach(EtherNode* node);
 
   // Queues `frame` for transmission from `sender`. The frame goes on the
   // wire as soon as the medium is free and is delivered to all other nodes

@@ -1,5 +1,7 @@
 #include "src/profhw/profiler.h"
 
+#include <algorithm>
+
 #include "src/base/assert.h"
 #include "src/obs/telemetry.h"
 
@@ -137,25 +139,8 @@ bool Profiler::ProvideDrainData(std::uint16_t addr_lines, std::uint8_t* data) {
     return true;
   }
   if (addr_lines == kDrainDataPort) {
-    if (sealed_bank == nullptr) {
-      return false;
-    }
-    const std::vector<RawEvent>& events = sealed_bank->Contents();
-    const std::size_t tag_bytes = events.size() * 2;
-    const std::size_t total_bytes = tag_bytes + events.size() * 3;
-    if (drain_cursor_ >= total_bytes) {
-      return false;  // past the end: floating bus
-    }
-    if (drain_cursor_ < tag_bytes) {
-      const std::uint16_t tag = events[drain_cursor_ / 2].tag;
-      *data = static_cast<std::uint8_t>((tag >> (8 * (drain_cursor_ % 2))) & 0xFF);
-    } else {
-      const std::size_t off = drain_cursor_ - tag_bytes;
-      const std::uint32_t timestamp = events[off / 3].timestamp;
-      *data = static_cast<std::uint8_t>((timestamp >> (8 * (off % 3))) & 0xFF);
-    }
-    ++drain_cursor_;
-    return true;
+    // Past the end, or with nothing sealed: floating bus.
+    return sealed_bank != nullptr && CopyDrainBytes(data, 1) == 1;
   }
   if (addr_lines == kDrainReleasePort) {
     if (sealed_bank != nullptr) {
@@ -174,6 +159,58 @@ bool Profiler::ProvideDrainData(std::uint16_t addr_lines, std::uint8_t* data) {
     return true;
   }
   return false;
+}
+
+std::size_t Profiler::CopyDrainBytes(std::uint8_t* data, std::size_t n) {
+  const std::vector<RawEvent>& events = bank(sealed_).Contents();
+  const std::size_t tag_bytes = events.size() * 2;
+  const std::size_t end = std::min(tag_bytes + events.size() * 3, drain_cursor_ + n);
+  const std::size_t tag_end = std::min(end, tag_bytes);
+  auto byte_at = [&](std::size_t pos) {
+    if (pos < tag_bytes) {
+      return static_cast<std::uint8_t>(events[pos / 2].tag >> (8 * (pos % 2)));
+    }
+    const std::size_t off = pos - tag_bytes;
+    return static_cast<std::uint8_t>(events[off / 3].timestamp >> (8 * (off % 3)));
+  };
+  // Whole fields go a field at a time; a span's ragged ends a byte at a time.
+  std::size_t pos = drain_cursor_;
+  if (pos < tag_end && pos % 2 != 0) {
+    *data++ = byte_at(pos++);
+  }
+  for (; pos + 2 <= tag_end; pos += 2) {
+    const std::uint16_t tag = events[pos / 2].tag;
+    *data++ = static_cast<std::uint8_t>(tag);
+    *data++ = static_cast<std::uint8_t>(tag >> 8);
+  }
+  while (pos < end && (pos < tag_bytes || (pos - tag_bytes) % 3 != 0)) {
+    *data++ = byte_at(pos++);
+  }
+  for (; pos + 3 <= end; pos += 3) {
+    const std::uint32_t timestamp = events[(pos - tag_bytes) / 3].timestamp;
+    *data++ = static_cast<std::uint8_t>(timestamp);
+    *data++ = static_cast<std::uint8_t>(timestamp >> 8);
+    *data++ = static_cast<std::uint8_t>(timestamp >> 16);
+  }
+  while (pos < end) {
+    *data++ = byte_at(pos++);
+  }
+  const std::size_t copied = pos - drain_cursor_;
+  drain_cursor_ = pos;
+  return copied;
+}
+
+void Profiler::OnEpromReadSpan(std::uint16_t addr_lines, Nanoseconds now, std::uint8_t* data,
+                               std::size_t n) {
+  if (!double_buffer_ || addr_lines != kDrainDataPort) {
+    EpromTapListener::OnEpromReadSpan(addr_lines, now, data, n);
+    return;
+  }
+  // A15 is high, so no byte of the span latches an event; bytes past the end
+  // keep the floating-bus value the bus filled in.
+  if (sealed_ >= 0) {
+    CopyDrainBytes(data, n);
+  }
 }
 
 bool Profiler::ProvideEpromData(std::uint16_t addr_lines, std::uint8_t* data) {

@@ -129,6 +129,11 @@ class Profiler : public EpromTapListener {
   void ExitReadoutMode();
   bool in_readout() const { return readout_; }
   bool ProvideEpromData(std::uint16_t addr_lines, std::uint8_t* data) override;
+  // A data-port span copies the sealed bank's bytes through the cursor in
+  // bulk (0xFF past the end, or with no sealed bank); any other span is n
+  // single reads.
+  void OnEpromReadSpan(std::uint16_t addr_lines, Nanoseconds now, std::uint8_t* data,
+                       std::size_t n) override;
 
   // Models pulling the battery-backed Smart-Socket RAMs and uploading their
   // contents to a host: returns the raw capture (sealed bank first — its
@@ -147,6 +152,9 @@ class Profiler : public EpromTapListener {
   // guarantees no bank is currently sealed.
   void SealActiveAndSwap();
   bool ProvideDrainData(std::uint16_t addr_lines, std::uint8_t* data);
+  // Copies up to `n` data-port bytes of the sealed bank from the cursor into
+  // `data` and advances the cursor; returns how many there were.
+  std::size_t CopyDrainBytes(std::uint8_t* data, std::size_t n);
 
   UsecTimer timer_;
   EventRam ram_;    // bank 0

@@ -47,6 +47,19 @@ Nanoseconds IsaBus::Read8(std::uint32_t phys, Nanoseconds now, std::uint8_t* dat
   return 200;
 }
 
+void IsaBus::ReadSpan(std::uint32_t phys, Nanoseconds now, std::uint8_t* data, std::size_t n) {
+  HWPROF_CHECK_MSG(phys >= kIsaHoleBase && phys < kIsaHoleEnd,
+                   "8-bit read outside the ISA hole");
+  std::fill_n(data, n, std::uint8_t{0xFF});
+  if (eprom_base_ != 0 && phys >= eprom_base_ && phys < eprom_base_ + kEpromWindowSize) {
+    eprom_reads_ += n;
+    const auto addr_lines = static_cast<std::uint16_t>(phys - eprom_base_);
+    for (EpromTapListener* l : listeners_) {
+      l->OnEpromReadSpan(addr_lines, now, data, n);
+    }
+  }
+}
+
 void AddressMap::MapKernel(std::uint32_t kernel_size) {
   HWPROF_CHECK(kernel_size > 0);
   const std::uint32_t rounded = (kernel_size + kPageSize - 1) / kPageSize * kPageSize;

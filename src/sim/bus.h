@@ -14,6 +14,7 @@
 #ifndef HWPROF_SRC_SIM_BUS_H_
 #define HWPROF_SRC_SIM_BUS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +41,21 @@ class EpromTapListener {
     (void)data;
     return false;
   }
+  // `n` back-to-back reads of one address (IsaBus::ReadSpan), all observed at
+  // `now`, the instant the last cycle completed. `data[i]` arrives holding
+  // the bus value so far (0xFF, or what an earlier listener drove); overwrite
+  // it to drive read `i`. The default is `n` single reads, so a device only
+  // overrides this to move a span in bulk.
+  virtual void OnEpromReadSpan(std::uint16_t addr_lines, Nanoseconds now, std::uint8_t* data,
+                               std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      OnEpromRead(addr_lines, now);
+      std::uint8_t byte = 0;
+      if (ProvideEpromData(addr_lines, &byte)) {
+        data[i] = byte;
+      }
+    }
+  }
 };
 
 class IsaBus {
@@ -64,6 +80,13 @@ class IsaBus {
   // non-null; 0xFF — floating bus — if nobody drives them). Returns the bus
   // occupancy cost of the cycle.
   Nanoseconds Read8(std::uint32_t phys, Nanoseconds now, std::uint8_t* data = nullptr);
+
+  // Performs `n` 8-bit reads of the one address `phys`, reported to each
+  // listener as one span at `now` (see EpromTapListener::OnEpromReadSpan).
+  // Fills `data[0..n)`: 0xFF where nobody drives the lines, including every
+  // byte of a read outside the socket window. The caller charges the bus
+  // time (Machine::SocketReadSpan).
+  void ReadSpan(std::uint32_t phys, Nanoseconds now, std::uint8_t* data, std::size_t n);
 
   // Total reads decoded to the socket window (for overhead accounting).
   std::uint64_t eprom_read_count() const { return eprom_reads_; }

@@ -1,5 +1,7 @@
 #include "src/sim/cpu.h"
 
+#include <algorithm>
+
 #include "src/base/assert.h"
 
 namespace hwprof {
@@ -38,6 +40,25 @@ void Cpu::Use(Nanoseconds cost) {
       busy_ns_ += deadline - clock_->Now();
       clock_->AdvanceTo(deadline);
     }
+  }
+}
+
+void Cpu::UseRepeated(Nanoseconds cost, std::uint64_t count) {
+  if (cost == 0) {
+    return;  // Use(0) neither advances time nor dispatches
+  }
+  while (count > 0) {
+    // The calls that end no later than the next event dispatch nothing (one
+    // exactly at a call's deadline is left to the next call), so they merge
+    // into one Use; a call that an event falls inside or starts on runs alone.
+    const Nanoseconds now = clock_->Now();
+    const Nanoseconds next = queue_->NextTime();
+    std::uint64_t run = count;
+    if (next != EventQueue::kNever) {
+      run = next <= now ? 1 : std::clamp<std::uint64_t>((next - now) / cost, 1, count);
+    }
+    Use(run * cost);
+    count -= run;
   }
 }
 

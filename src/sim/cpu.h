@@ -10,6 +10,7 @@
 #ifndef HWPROF_SRC_SIM_CPU_H_
 #define HWPROF_SRC_SIM_CPU_H_
 
+#include <cstdint>
 #include <functional>
 
 #include "src/base/units.h"
@@ -33,6 +34,17 @@ class Cpu {
   // their scheduled virtual times; time spent inside interrupt service
   // extends the window (preemption, not theft).
   void Use(Nanoseconds cost);
+
+  // Exactly `count` back-to-back Use(cost) calls — same clock, busy time,
+  // event dispatch instants and interrupt-hook runs — in as few Use calls as
+  // that allows: each run of calls that ends no later than the next pending
+  // event dispatches nothing, so it is charged as one Use; a call that an
+  // event falls inside (or starts on) is charged on its own. The split is
+  // what makes it exact: events run inside Use (such as a drain scheduled
+  // as a device event) may consume CPU time that is *not* added to the
+  // deadline, so one Use(count * cost) across such an event could end at a
+  // different instant than the calls it stands for.
+  void UseRepeated(Nanoseconds cost, std::uint64_t count);
 
   // Idles (scheduler idle loop) until the next device event at or before
   // `until` has been dispatched, or until `until` if nothing is pending.

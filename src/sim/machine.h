@@ -7,6 +7,7 @@
 #ifndef HWPROF_SRC_SIM_MACHINE_H_
 #define HWPROF_SRC_SIM_MACHINE_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "src/base/units.h"
@@ -44,6 +45,13 @@ class Machine {
   // device drives (the ZIF-readout path). Reads outside the remapped window
   // return 0xFF.
   std::uint8_t SocketRead(std::uint32_t va);
+
+  // `n` back-to-back SocketRead(va) calls (a data port's auto-increment
+  // walk) as one bus span: the same virtual time, n × trigger_read_ns via
+  // Cpu::UseRepeated, with the bytes moved after the charge. Sound only for
+  // a device whose answers no event or interrupt handler can change mid-span
+  // (the Profiler's sealed bank). Unmapped reads fill `data` with 0xFF.
+  void SocketReadSpan(std::uint32_t va, std::uint8_t* data, std::size_t n);
 
   // Executes one profiling trigger: a byte read of kernel virtual address
   // `va`, translated through the ISA remap and decoded on the bus (where the

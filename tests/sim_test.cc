@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/sim/bus.h"
@@ -130,6 +132,76 @@ TEST(Cpu, InterruptServiceExtendsTheWorkWindow) {
   EXPECT_EQ(cpu.busy_ns(), 1500u);
 }
 
+// One CPU with a logged event schedule that stresses every way a span of
+// back-to-back Use calls can interleave with device activity.
+struct UseRig {
+  VirtualClock clock;
+  EventQueue q;
+  Cpu cpu{&clock, &q};
+  bool irq_pending = false;
+  std::vector<std::pair<int, Nanoseconds>> log;  // (what, when)
+
+  explicit UseRig(Nanoseconds cost) {
+    cpu.SetInterruptHook([this] {
+      if (irq_pending) {
+        irq_pending = false;
+        log.push_back({0, clock.Now()});
+        cpu.Use(350);  // handler service extends the window
+      }
+    });
+    auto mark = [this](int what) { log.push_back({what, clock.Now()}); };
+    q.ScheduleAt(0, [mark] { mark(1); });  // already due when the span starts
+    q.ScheduleAt(2 * cost, [mark] { mark(2); });  // exactly on a byte boundary
+    q.ScheduleAt(3 * cost + 50, [this, mark] {  // inside a byte, raises the IRQ
+      mark(3);
+      irq_pending = true;
+    });
+    q.ScheduleAt(6 * cost, [this, mark, cost] {  // consumes CPU from event context,
+      mark(4);                                   // across the next byte boundary
+      cpu.Use(cost + 120);
+    });
+    q.ScheduleAt(4 * cost, [this, mark] {  // schedules one due right now
+      mark(5);
+      q.ScheduleAt(clock.Now(), [mark] { mark(6); });
+    });
+  }
+};
+
+TEST(Cpu, UseRepeatedMatchesBackToBackUse) {
+  constexpr Nanoseconds kCost = 200;
+  constexpr std::uint64_t kCount = 12;
+  UseRig loop(kCost);
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    loop.cpu.Use(kCost);
+  }
+  UseRig span(kCost);
+  span.cpu.UseRepeated(kCost, kCount);
+  EXPECT_EQ(span.log, loop.log);
+  EXPECT_EQ(span.clock.Now(), loop.clock.Now());
+  EXPECT_EQ(span.cpu.busy_ns(), loop.cpu.busy_ns());
+  EXPECT_EQ(span.q.PendingCount(), loop.q.PendingCount());
+  ASSERT_EQ(loop.log.size(), 7u);  // every event and the handler ran
+
+  // An event exactly at the span's end is left to whatever runs next, as
+  // the last of the back-to-back calls leaves it.
+  VirtualClock clock;
+  EventQueue q;
+  Cpu cpu(&clock, &q);
+  Nanoseconds fired_at = 0;
+  q.ScheduleAt(5 * kCost, [&] { fired_at = clock.Now(); });
+  cpu.UseRepeated(kCost, 5);
+  EXPECT_EQ(clock.Now(), 5 * kCost);
+  EXPECT_EQ(fired_at, 0u);
+  cpu.Use(kCost);
+  EXPECT_EQ(fired_at, 5 * kCost);
+
+  // Why the split: one Use of the whole span would let the CPU-consuming
+  // event eat into the span and end elsewhere.
+  UseRig whole(kCost);
+  whole.cpu.Use(kCost * kCount);
+  EXPECT_NE(whole.clock.Now(), loop.clock.Now());
+}
+
 TEST(Cpu, IdleWaitAccountsIdleSeparately) {
   VirtualClock clock;
   EventQueue q;
@@ -180,6 +252,55 @@ TEST(IsaBus, RemoveTapListenerStopsDelivery) {
   bus.RemoveTapListener(&tap);
   bus.Read8(0xD0000, 2);
   EXPECT_EQ(tap.reads.size(), 1u);
+}
+
+// Drives the data lines with a running byte count.
+class DrivingTap : public RecordingTap {
+ public:
+  bool ProvideEpromData(std::uint16_t, std::uint8_t* data) override {
+    *data = next++;
+    return true;
+  }
+  std::uint8_t next = 7;
+};
+
+TEST(IsaBus, ReadSpanIsNReadsOfOneAddress) {
+  IsaBus bus;
+  bus.InstallEpromSocket(0xD0000);
+  RecordingTap tap;
+  bus.AddTapListener(&tap);
+  std::vector<std::uint8_t> data(4, 0);
+  bus.ReadSpan(0xD0000 + 0x8009, 500, data.data(), data.size());
+  ASSERT_EQ(tap.reads.size(), 4u);
+  for (const auto& [addr, now] : tap.reads) {
+    EXPECT_EQ(addr, 0x8009);
+    EXPECT_EQ(now, 500u);
+  }
+  EXPECT_EQ(data, std::vector<std::uint8_t>(4, 0xFF));  // nobody drives: floating
+  EXPECT_EQ(bus.eprom_read_count(), 4u);
+
+  std::fill(data.begin(), data.end(), 0);
+  bus.ReadSpan(0xC0000, 600, data.data(), 3);  // outside the window: not decoded
+  EXPECT_EQ(tap.reads.size(), 4u);
+  EXPECT_EQ(bus.eprom_read_count(), 4u);
+  EXPECT_EQ(data, (std::vector<std::uint8_t>{0xFF, 0xFF, 0xFF, 0}));
+}
+
+TEST(IsaBus, ReadSpanDeliversWhatNSingleReadsWould) {
+  IsaBus bus;
+  bus.InstallEpromSocket(0xD0000);
+  DrivingTap tap;
+  bus.AddTapListener(&tap);
+  std::vector<std::uint8_t> singles(5);
+  for (std::uint8_t& b : singles) {
+    bus.Read8(0xD0000 + 42, 100, &b);
+  }
+  tap.next = 7;
+  std::vector<std::uint8_t> span(5);
+  bus.ReadSpan(0xD0000 + 42, 100, span.data(), span.size());
+  EXPECT_EQ(span, singles);
+  EXPECT_EQ(span, (std::vector<std::uint8_t>{7, 8, 9, 10, 11}));
+  EXPECT_EQ(bus.eprom_read_count(), 10u);
 }
 
 TEST(IsaBusDeath, SocketMustSitInsideIsaHole) {
@@ -241,6 +362,41 @@ TEST(Machine, TriggerOutsideWindowIsInert) {
   machine.bus().AddTapListener(&tap);
   machine.TriggerRead(0x1000);  // nowhere near the remapped ISA hole
   EXPECT_TRUE(tap.reads.empty());
+}
+
+TEST(Machine, SocketReadSpanOffTheSocketFloatsButCharges) {
+  Machine unmapped;  // no kernel mapped yet: nothing decodes
+  std::vector<std::uint8_t> data(6, 0);
+  unmapped.SocketReadSpan(0x1234, data.data(), data.size());
+  EXPECT_EQ(data, std::vector<std::uint8_t>(6, 0xFF));
+  EXPECT_EQ(unmapped.Now(), 6 * unmapped.cost().trigger_read_ns);
+  EXPECT_EQ(unmapped.cpu().busy_ns(), 6 * unmapped.cost().trigger_read_ns);
+  EXPECT_EQ(unmapped.bus().eprom_read_count(), 0u);
+
+  Machine mapped;
+  mapped.address_map().MapKernel(600 * 1024);
+  RecordingTap tap;
+  mapped.bus().AddTapListener(&tap);
+  std::fill(data.begin(), data.end(), 0);
+  mapped.SocketReadSpan(0x1000, data.data(), data.size());  // outside the remap
+  EXPECT_EQ(data, std::vector<std::uint8_t>(6, 0xFF));
+  EXPECT_EQ(mapped.Now(), 6 * mapped.cost().trigger_read_ns);
+  EXPECT_TRUE(tap.reads.empty());
+}
+
+TEST(Machine, SocketReadSpanReportsAtTheEndOfTheSpan) {
+  Machine machine;
+  machine.address_map().MapKernel(600 * 1024);
+  DrivingTap tap;
+  machine.bus().AddTapListener(&tap);
+  const std::uint32_t profile_base = machine.address_map().IsaVirtualBase() +
+                                     (kDefaultEpromSocketPhys - kIsaHoleBase);
+  std::vector<std::uint8_t> data(3);
+  machine.SocketReadSpan(profile_base + 0x8009, data.data(), data.size());
+  EXPECT_EQ(data, (std::vector<std::uint8_t>{7, 8, 9}));
+  ASSERT_EQ(tap.reads.size(), 3u);
+  EXPECT_EQ(tap.reads[2].second, 3 * machine.cost().trigger_read_ns);
+  EXPECT_EQ(machine.bus().eprom_read_count(), 3u);
 }
 
 // --- CostModel ------------------------------------------------------------------------------

@@ -6,14 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "src/analysis/decoder.h"
 #include "src/analysis/summary.h"
+#include "src/instr/linker.h"
+#include "src/instr/profile_scope.h"
 #include "src/instr/readout.h"
 #include "src/profhw/profiler.h"
 #include "src/profhw/smart_socket.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/workloads.h"
+#include "tests/reference_drain.h"
 
 namespace hwprof {
 namespace {
@@ -141,6 +147,61 @@ TEST(DoubleBuffer, DropsAreCountedAndStampedOnTheNextBank) {
   EXPECT_EQ(PortU32(p, kDrainDropPort), 2u);
 }
 
+// A board on its own bus, armed, with `stored` events latched.
+struct BoardOnBus {
+  BoardOnBus(std::size_t depth, std::uint16_t stored) : board(SmallDoubleBuffer(depth)) {
+    bus.InstallEpromSocket(kDefaultEpromSocketPhys);
+    board.PlugInto(bus);
+    board.Arm();
+    for (std::uint16_t i = 0; i < stored; ++i) {
+      bus.Read8(kDefaultEpromSocketPhys + 100 + i, (i + 1) * kMicrosecond);
+    }
+  }
+  std::vector<std::uint8_t> Span(std::uint16_t port, std::size_t n) {
+    std::vector<std::uint8_t> data(n, 0);
+    bus.ReadSpan(kDefaultEpromSocketPhys + port, 9 * kMicrosecond, data.data(), n);
+    return data;
+  }
+  IsaBus bus;
+  Profiler board;
+};
+
+TEST(DoubleBuffer, DataSpanMatchesSingleReadsAndFloatsPastTheEnd) {
+  BoardOnBus singles(3, 4);  // 4th store seals [100, 101, 102]
+  BoardOnBus spans(3, 4);
+  ASSERT_TRUE(spans.board.standby_ready());
+  std::vector<std::uint8_t> expected;
+  for (int i = 0; i < 3 * 5 + 4; ++i) {
+    std::uint8_t b = 0;
+    singles.bus.Read8(kDefaultEpromSocketPhys + kDrainDataPort, 9 * kMicrosecond, &b);
+    expected.push_back(b);
+  }
+  // Ragged pieces (mid-tag, mid-timestamp) resume where the last one stopped;
+  // the last runs 4 bytes past the bank and floats.
+  std::vector<std::uint8_t> got = spans.Span(kDrainDataPort, 3);
+  for (std::size_t n : {5, 11}) {
+    const std::vector<std::uint8_t> part = spans.Span(kDrainDataPort, n);
+    got.insert(got.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(std::vector<std::uint8_t>(got.end() - 4, got.end()),
+            std::vector<std::uint8_t>(4, 0xFF));
+  EXPECT_EQ(got[0], 100);  // first tag, low byte
+  EXPECT_EQ(got[6], 1);    // first timestamp (1 us), low byte
+  EXPECT_EQ(spans.board.total_captured(), 4u);  // drain-port spans latch nothing
+  EXPECT_EQ(spans.bus.eprom_read_count(), singles.bus.eprom_read_count());
+}
+
+TEST(DoubleBuffer, DataSpanWithNoSealedBankFloats) {
+  BoardOnBus b(3, 2);  // nothing sealed yet
+  ASSERT_FALSE(b.board.standby_ready());
+  EXPECT_EQ(b.Span(kDrainDataPort, 6), std::vector<std::uint8_t>(6, 0xFF));
+  // The floating span moved no cursor: the sealed bank reads from its start.
+  EXPECT_EQ(b.Span(kDrainSealPort, 1)[0], kDrainAck);
+  EXPECT_EQ(b.Span(kDrainDataPort, 2), (std::vector<std::uint8_t>{100, 0}));
+  EXPECT_EQ(b.board.total_captured(), 2u);
+}
+
 TEST(DoubleBuffer, UploadConcatenatesSealedThenActive) {
   Profiler p(SmallDoubleBuffer(2));
   p.Arm();
@@ -183,6 +244,223 @@ TEST(StreamingDrain, DrainRemainingMatchesUpload) {
   // events (sealed + active) can come out — exactly Upload's view.
   EXPECT_EQ(flat, up.events);
   EXPECT_EQ(tb.profiler().events_captured(), 0u);  // drained banks are released
+}
+
+// Machine, instrumentation and a double-buffered board, with no kernel: no
+// event is pending unless a test schedules it. The interrupt hook runs one
+// profiled handler ("xintr") per raised IRQ, so its triggers land in the
+// active bank while a drain is in progress.
+struct BareRig {
+  explicit BareRig(std::size_t depth) : profiler(SmallDoubleBuffer(depth)) {
+    handler = instr.RegisterFunction("xintr", Subsys::kNet);
+    instr.RegisterFunction("profdrain", Subsys::kLib);
+    Linker::Link(machine, instr, 600 * 1024);
+    profiler.PlugInto(machine.bus());
+    profiler.Arm();
+    machine.cpu().SetInterruptHook([this] {
+      if (irq_pending) {
+        irq_pending = false;
+        ProfileScope scope(machine, instr, handler);
+        machine.cpu().Use(300);
+      }
+    });
+  }
+  // Runs the profiled handler once outside any interrupt: two events.
+  void Handler() {
+    ProfileScope scope(machine, instr, handler);
+  }
+  Nanoseconds c() const { return machine.cost().trigger_read_ns; }
+
+  Machine machine;
+  TagFile tags;
+  Instrumenter instr{&tags};
+  Profiler profiler;
+  FuncInfo* handler = nullptr;
+  bool irq_pending = false;
+};
+
+TEST(StreamingDrain, DrainChargesOneBusCyclePerByte) {
+  BareRig rig(8);
+  for (int i = 0; i < 5; ++i) {
+    rig.Handler();  // 10 events: 8 sealed, 2 in the active bank
+  }
+  ASSERT_TRUE(rig.profiler.standby_ready());
+  ASSERT_TRUE(rig.machine.events().Empty());
+  const Nanoseconds t0 = rig.machine.Now();
+  const Nanoseconds busy0 = rig.machine.cpu().busy_ns();
+  const std::uint64_t reads0 = rig.machine.bus().eprom_read_count();
+  TraceChunk chunk;
+  ASSERT_TRUE(DrainChunk(rig.machine, rig.instr, rig.profiler, &chunk));
+  ASSERT_EQ(chunk.events.size(), 8u);
+  // Status 1 + count 4 + drops 4 + release 1 port bytes, 5 data bytes per
+  // event, and profdrain's entry and exit triggers: one bus cycle each.
+  const std::uint64_t cycles = 10 + 5 * 8 + 2;
+  EXPECT_EQ(rig.machine.Now() - t0, cycles * rig.c());
+  EXPECT_EQ(rig.machine.cpu().busy_ns() - busy0, cycles * rig.c());
+  EXPECT_EQ(rig.machine.bus().eprom_read_count() - reads0, cycles);
+}
+
+// Everything the span drain and the byte-loop reference must agree on.
+struct DrainOutcome {
+  std::vector<TraceChunk> chunks;
+  Nanoseconds now = 0;
+  Nanoseconds busy = 0;
+  std::uint64_t bus_reads = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t pending_drops = 0;
+  std::uint64_t bank_switches = 0;
+  std::uint64_t captured = 0;
+  std::vector<std::pair<int, Nanoseconds>> log;  // device events: (what, when)
+  // Drained events between a profdrain entry and its exit (full rigs only;
+  // follows from the chunks).
+  std::uint64_t inside_drains = 0;
+};
+
+void Observe(Machine& machine, const Profiler& profiler, DrainOutcome* out) {
+  out->now = machine.Now();
+  out->busy = machine.cpu().busy_ns();
+  out->bus_reads = machine.bus().eprom_read_count();
+  out->dropped = profiler.dropped_events();
+  out->pending_drops = profiler.pending_drops();
+  out->bank_switches = profiler.bank_switches();
+  out->captured = profiler.total_captured();
+}
+
+void ExpectSameOutcome(const DrainOutcome& span, const DrainOutcome& ref) {
+  EXPECT_EQ(span.chunks, ref.chunks);
+  EXPECT_EQ(span.now, ref.now);
+  EXPECT_EQ(span.busy, ref.busy);
+  EXPECT_EQ(span.bus_reads, ref.bus_reads);
+  EXPECT_EQ(span.dropped, ref.dropped);
+  EXPECT_EQ(span.pending_drops, ref.pending_drops);
+  EXPECT_EQ(span.bank_switches, ref.bank_switches);
+  EXPECT_EQ(span.captured, ref.captured);
+  EXPECT_EQ(span.log, ref.log);
+}
+
+using DrainChunkFn = bool (*)(Machine&, Instrumenter&, Profiler&, TraceChunk*);
+using DrainRemainingFn = void (*)(Machine&, Instrumenter&, Profiler&, std::vector<TraceChunk>*);
+
+constexpr Nanoseconds kBareStart = 1 * kMillisecond;
+constexpr Nanoseconds kHandlerWork = 300;  // BareRig's handler body
+constexpr Nanoseconds kStolenExtra = 120;  // event-context CPU beyond one cycle
+
+// One drain of a 6-event sealed bank, run as a device event the way the
+// streaming receive runs it, with device activity placed in and around the
+// 30-byte data span. The span starts 10 cycles into the drain (the entry
+// trigger, then the status, count and drop ports).
+DrainOutcome BareDrain(DrainChunkFn drain) {
+  BareRig rig(6);
+  for (int i = 0; i < 4; ++i) {
+    rig.Handler();  // 8 events: 6 sealed, 2 active
+  }
+  const Nanoseconds c = rig.c();
+  const Nanoseconds span = kBareStart + 10 * c;
+  const Nanoseconds service = 2 * c + kHandlerWork;
+  DrainOutcome out;
+  auto mark = [&](int what) { out.log.push_back({what, rig.machine.Now()}); };
+  EventQueue& q = rig.machine.events();
+  q.ScheduleAt(kBareStart, [&] {
+    mark(0);
+    drain(rig.machine, rig.instr, rig.profiler, &out.chunks.emplace_back());
+  });
+  q.ScheduleAt(span + 2 * c, [&] { mark(1); });  // exactly on a byte boundary
+  q.ScheduleAt(span + 3 * c + 77, [&] {          // inside byte 4: an interrupt
+    mark(2);
+    rig.irq_pending = true;
+  });
+  // Inside byte 11: CPU used from event context, which does not extend the
+  // byte's deadline, so it runs past the byte boundary.
+  q.ScheduleAt(span + 10 * c + service + 5, [&] {
+    mark(3);
+    rig.machine.cpu().Use(c + kStolenExtra);
+  });
+  q.ScheduleAt(span + 30 * c + service + 5 + kStolenExtra, [&] { mark(4); });  // span end
+  rig.machine.cpu().IdleWait(kBareStart);
+  Observe(rig.machine, rig.profiler, &out);
+  return out;
+}
+
+TEST(DrainSpanEquivalence, DeviceEventsInAndAroundTheSpan) {
+  const DrainOutcome ref = BareDrain(&ReferenceDrainChunk);
+  const DrainOutcome span = BareDrain(&DrainChunk);
+  ExpectSameOutcome(span, ref);
+  // The schedule hit what it aimed at: the handler ran mid-span and its
+  // triggers went to the active bank; the end event ran at the span's end,
+  // i.e. at the start of the release read, before the exit trigger.
+  const Nanoseconds c = CostModel::I386Dx40().trigger_read_ns;
+  const Nanoseconds service = 2 * c + kHandlerWork;
+  const std::vector<std::pair<int, Nanoseconds>> expected_log = {
+      {0, kBareStart},
+      {1, kBareStart + 12 * c},
+      {2, kBareStart + 13 * c + 77},
+      {3, kBareStart + 20 * c + service + 5},
+      {4, kBareStart + 40 * c + service + 5 + kStolenExtra}};
+  EXPECT_EQ(ref.log, expected_log);
+  ASSERT_EQ(ref.chunks.size(), 1u);
+  EXPECT_EQ(ref.chunks[0].events.size(), 6u);
+  EXPECT_EQ(ref.captured, 8u + 4u);  // + profdrain entry/exit, xintr entry/exit
+  EXPECT_EQ(ref.now, kBareStart + 42 * c + service + 5 + kStolenExtra);
+}
+
+// Periodic drains of a saturating receive on twin full rigs: the kernel's
+// own interrupt handlers run inside drains and trigger into the active bank.
+DrainOutcome RigDrain(std::size_t depth, Nanoseconds period, std::uint64_t stream_bytes,
+                      DrainChunkFn drain, DrainRemainingFn remaining) {
+  Testbed tb(StreamingRig(depth));
+  tb.Arm();
+  DrainOutcome out;
+  bool stopped = false;
+  std::function<void()> poll = [&] {
+    if (stopped) {
+      return;
+    }
+    TraceChunk chunk;
+    if (drain(tb.machine(), tb.instr(), tb.profiler(), &chunk)) {
+      out.chunks.push_back(std::move(chunk));
+    }
+    tb.machine().events().ScheduleAt(tb.machine().Now() + period, [&poll] { poll(); });
+  };
+  tb.machine().events().ScheduleAt(tb.machine().Now() + period, [&poll] { poll(); });
+  RunNetworkReceive(tb, Sec(4), stream_bytes, /*verify_payload=*/false);
+  stopped = true;
+  tb.profiler().Disarm();
+  remaining(tb.machine(), tb.instr(), tb.profiler(), &out.chunks);
+  Observe(tb.machine(), tb.profiler(), &out);
+
+  const FuncInfo* f = tb.instr().Find("profdrain");
+  bool inside = false;
+  for (const TraceChunk& chunk : out.chunks) {
+    for (const RawEvent& e : chunk.events) {
+      if (e.tag == f->entry_tag || e.tag == f->exit_tag()) {
+        inside = e.tag == f->entry_tag;
+      } else if (inside) {
+        ++out.inside_drains;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(DrainSpanEquivalence, InterruptsTriggerIntoTheActiveBankMidDrain) {
+  const DrainOutcome ref = RigDrain(kDefaultEventRamDepth, 100 * kMillisecond, 1024 * 1024,
+                                    &ReferenceDrainChunk, &ReferenceDrainRemaining);
+  const DrainOutcome span = RigDrain(kDefaultEventRamDepth, 100 * kMillisecond, 1024 * 1024,
+                                     &DrainChunk, &DrainRemaining);
+  ExpectSameOutcome(span, ref);
+  EXPECT_EQ(ref.dropped, 0u);
+  EXPECT_GT(ref.bank_switches, 3u);
+  EXPECT_GT(ref.inside_drains, 0u);  // interrupt handlers ran inside drains
+}
+
+TEST(DrainSpanEquivalence, SlowDrainOfASmallBoardDrops) {
+  const DrainOutcome ref =
+      RigDrain(256, 50 * kMillisecond, 256 * 1024, &ReferenceDrainChunk, &ReferenceDrainRemaining);
+  const DrainOutcome span =
+      RigDrain(256, 50 * kMillisecond, 256 * 1024, &DrainChunk, &DrainRemaining);
+  ExpectSameOutcome(span, ref);
+  EXPECT_GT(ref.dropped, 0u);
+  EXPECT_GT(ref.bank_switches, 10u);
 }
 
 TEST(StreamingDrain, PeriodicDrainKeepsUpWithTheSaturatingReceive) {

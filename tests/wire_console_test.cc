@@ -3,13 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/kern/console.h"
+#include "src/kern/net_hosts.h"
 #include "src/kern/net_wire.h"
 #include "src/kern/user_env.h"
 #include "src/sim/machine.h"
 #include "src/workloads/testbed.h"
+#include "src/workloads/workloads.h"
 
 namespace hwprof {
 namespace {
@@ -63,6 +66,68 @@ TEST(EtherSegment, MediumSerialisesBackToBackFrames) {
   ASSERT_EQ(rx.arrivals_.size(), 2u);
   EXPECT_EQ(rx.arrivals_[0].first[0], 1);
   EXPECT_EQ(rx.arrivals_[1].first[0], 2);
+}
+
+// Counts deliveries in storage that outlives the node.
+class CountingNode : public EtherNode {
+ public:
+  CountingNode(std::uint8_t id, int* frames) : id_(id), frames_(frames) {}
+  std::uint8_t node_id() const override { return id_; }
+  void OnFrame(const Bytes&) override { ++*frames_; }
+
+ private:
+  std::uint8_t id_;
+  int* frames_;
+};
+
+TEST(EtherSegment, DestroyedNodeReceivesNoFrames) {
+  Machine machine;
+  EtherSegment wire(machine);
+  RecordingNode rx(2);
+  wire.Attach(&rx);
+  int gone_frames = 0;
+  {
+    auto host = std::make_unique<CountingNode>(3, &gone_frames);
+    wire.Attach(host.get());
+    wire.Transmit(1, Bytes(100, 1));  // in flight when the host goes away
+  }
+  // A real remote host, destroyed the way a workload drops its SenderHost.
+  std::make_unique<SenderHost>(machine, wire, kSenderNodeId, kSenderIpAddr).reset();
+  wire.Transmit(1, Bytes(100, 2));
+  while (machine.cpu().IdleWait(Sec(1))) {
+  }
+  EXPECT_EQ(gone_frames, 0);
+  ASSERT_EQ(rx.arrivals_.size(), 2u);  // later frames still reach the rest
+  EXPECT_EQ(rx.arrivals_[0].first[0], 1);
+  EXPECT_EQ(rx.arrivals_[1].first[0], 2);
+}
+
+TEST(EtherSegment, NodeMayOutliveItsSegment) {
+  Machine machine;
+  int frames = 0;
+  CountingNode node(2, &frames);
+  {
+    EtherSegment wire(machine);
+    wire.Attach(&node);
+    wire.Detach(&node);
+    wire.Attach(&node);  // detached nodes may attach again
+  }
+  EtherSegment other(machine);
+  other.Attach(&node);  // released by the destroyed segment
+  other.Transmit(1, Bytes(10, 0));
+  while (machine.cpu().IdleWait(Sec(1))) {
+  }
+  EXPECT_EQ(frames, 1);
+}
+
+TEST(EtherSegment, PendingHostOutlivesTheRig) {
+  // A receive stopped before its 20 ms stream start leaves the SenderHost
+  // owned by that pending event. The Testbed destroys the kernel, and with
+  // it the segment, before the machine's event queue, so the host's
+  // destructor runs against a segment that is already gone.
+  Testbed tb;
+  RunNetworkReceive(tb, Msec(5), 1024, /*verify_payload=*/false);
+  EXPECT_FALSE(tb.machine().events().Empty());
 }
 
 TEST(EtherSegment, WireRateIs10Mbit) {
