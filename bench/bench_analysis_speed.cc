@@ -128,40 +128,27 @@ void BM_DecodeBinaryContainerSoA(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeBinaryContainerSoA);
 
-// End to end, file bytes to DecodedTrace, per format: what `hwprof_analyze`
-// actually does in its batch path.
+// End to end, capture bytes to DecodedTrace, per format: the one decode
+// path `hwprof_analyze` takes, in its retain mode, so the two differ only in
+// the container parse.
 
-void BM_AnalyzeFromText(benchmark::State& state) {
+void AnalyzeFromBytes(benchmark::State& state, const std::string& bytes) {
   CaptureFixture& f = Fixture();
-  const std::string text = f.raw.Serialize();
   for (auto _ : state) {
-    RawTrace loaded;
-    RawTrace::Deserialize(text, &loaded);
-    DecodedTrace d = Decoder::Decode(loaded, f.tb->tags());
-    benchmark::DoNotOptimize(d.per_function.size());
+    const CaptureDecode d = DecodeCaptureBytes(bytes, f.tb->tags(), /*salvage=*/false,
+                                               StreamingOptions{.retain_structure = true});
+    benchmark::DoNotOptimize(d.trace.per_function.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.raw.events.size()));
+}
+
+void BM_AnalyzeFromText(benchmark::State& state) {
+  AnalyzeFromBytes(state, Fixture().raw.Serialize());
 }
 BENCHMARK(BM_AnalyzeFromText);
 
 void BM_AnalyzeFromBinary(benchmark::State& state) {
-  CaptureFixture& f = Fixture();
-  const std::string bin = EncodeCaptureBinary(f.raw);
-  for (auto _ : state) {
-    BinaryChunkReader reader(bin, /*salvage=*/false);
-    StreamingDecoder decoder(f.tb->tags(), reader.timer_bits(),
-                             reader.timer_clock_hz(), StreamingOptions{});
-    decoder.NoteDropped(reader.dropped_events());
-    decoder.SetClockEnvelope(reader.capture_elapsed_ns());
-    SoaChunk chunk;
-    while (reader.Next(&chunk)) {
-      decoder.FeedSoA(chunk.tags.data(), chunk.timestamps.data(),
-                      chunk.tags.size());
-    }
-    DecodedTrace d = decoder.Finish(reader.overflowed());
-    benchmark::DoNotOptimize(d.per_function.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.raw.events.size()));
+  AnalyzeFromBytes(state, EncodeCaptureBinary(Fixture().raw));
 }
 BENCHMARK(BM_AnalyzeFromBinary);
 

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <deque>
 #include <future>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/base/mmap_file.h"
 #include "src/base/thread_pool.h"
 #include "src/obs/telemetry.h"
+#include "src/profhw/binary_trace.h"
 #include "src/profhw/usec_timer.h"
 
 namespace hwprof {
@@ -1083,6 +1086,77 @@ DecodedTrace Decoder::Decode(const RawTrace& raw, const TagFile& names) {
   decoder.SetClockEnvelope(raw.capture_elapsed_ns);
   decoder.Feed(raw.events);
   return decoder.Finish(raw.overflowed);
+}
+
+CaptureDecode DecodeCaptureBytes(std::string_view bytes, const TagFile& names,
+                                 bool salvage, StreamingOptions options) {
+  CaptureDecode out;
+  SniffCapture(bytes, &out.shape);
+  // The header policy, once for every shape: a capture header's board drops
+  // and clock envelope open the decode (a stream's drops travel per chunk
+  // and are noted where they fall), the parse layer's corrupt words are
+  // charged, and Finish gets the overflow flag or the stream's torn tail.
+  std::optional<StreamingDecoder> decoder;
+  auto open = [&](unsigned timer_bits, std::uint64_t timer_clock_hz,
+                  std::uint64_t dropped_events, std::uint64_t capture_elapsed_ns) {
+    decoder.emplace(names, timer_bits, timer_clock_hz, options);
+    decoder->NoteDropped(dropped_events);
+    decoder->SetClockEnvelope(capture_elapsed_ns);
+  };
+  std::uint64_t corrupt_words = 0;
+  bool truncated = false;
+  if (out.shape.format == CaptureFormat::kBinary) {
+    BinaryChunkReader reader(bytes, salvage);
+    if (reader.header_ok()) {
+      const bool capture = reader.kind() == BinaryKind::kCapture;
+      open(reader.timer_bits(), reader.timer_clock_hz(),
+           capture ? reader.dropped_events() : 0,
+           capture ? reader.capture_elapsed_ns() : 0);
+      SoaChunk chunk;
+      while (reader.Next(&chunk)) {
+        decoder->NoteDropped(chunk.dropped_before);
+        decoder->FeedSoA(chunk.tags.data(), chunk.timestamps.data(), chunk.tags.size());
+      }
+      corrupt_words = reader.corrupt_words();
+      truncated = capture ? reader.overflowed() : reader.truncated_tail();
+    }
+    out.ok = reader.header_ok() && !reader.failed();
+    out.diags = reader.diags();
+  } else if (out.shape.is_stream) {
+    StreamCapture stream;
+    out.ok = ParseStreamText(bytes, &stream, &out.diags, salvage, &corrupt_words);
+    if (out.ok) {
+      open(stream.timer_bits, stream.timer_clock_hz, 0, 0);
+      for (const TraceChunk& chunk : stream.chunks) {
+        decoder->FeedChunk(chunk);
+      }
+      truncated = stream.truncated_tail;
+    }
+  } else {
+    RawTrace raw;
+    out.ok = salvage ? RawTrace::DeserializeSalvage(bytes, &raw, &out.diags, &corrupt_words)
+                     : RawTrace::Deserialize(bytes, &raw, &out.diags);
+    if (out.ok) {
+      open(raw.timer_bits, raw.timer_clock_hz, raw.dropped_events, raw.capture_elapsed_ns);
+      decoder->Feed(raw.events);
+      truncated = raw.overflowed;
+    }
+  }
+  if (out.ok) {
+    decoder->NoteCorruptWords(corrupt_words);
+    out.trace = decoder->Finish(truncated);
+  }
+  return out;
+}
+
+CaptureDecode DecodeCaptureFile(const std::string& path, const TagFile& names,
+                                bool salvage, StreamingOptions options) {
+  MappedFile file;
+  CaptureDecode out;
+  if (!MapCaptureFile(path, &file, &out.diags)) {
+    return out;
+  }
+  return DecodeCaptureBytes(file.view(), names, salvage, options);
 }
 
 }  // namespace hwprof

@@ -25,11 +25,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/units.h"
 #include "src/instr/tag_file.h"
 #include "src/profhw/raw_trace.h"
+#include "src/profhw/smart_socket.h"
 
 namespace hwprof {
 
@@ -179,14 +181,15 @@ struct DecodedTrace {
     const std::uint64_t tolerated = TruncationClosedEntries();
     return unclosed_entries > tolerated ? unclosed_entries - tolerated : 0;
   }
-  // Anything a health-conscious consumer should hear about. Deliberately
+  // Anything a health-conscious consumer should hear about, as one number
+  // (the --progress heartbeat and hwprofd's per-upload ledger). Deliberately
   // excludes plain truncation (stopping a capture mid-run is normal) and
   // the truncation-closed entries it implies.
-  bool HasAnomalies() const {
-    return corrupt_words > 0 || impossible_deltas > 0 || wrap_ambiguous_gaps > 0 ||
-           unknown_tags > 0 || orphan_exits > 0 || dropped_events > 0 ||
-           MidTraceUnclosedEntries() > 0;
+  std::uint64_t AnomalyTotal() const {
+    return corrupt_words + impossible_deltas + wrap_ambiguous_gaps + unknown_tags +
+           orphan_exits + dropped_events + MidTraceUnclosedEntries();
   }
+  bool HasAnomalies() const { return AnomalyTotal() > 0; }
 };
 
 // Folds a finished decode's anomaly counters into the pipeline telemetry
@@ -299,6 +302,41 @@ class StreamingDecoder {
  private:
   std::unique_ptr<DecodeEngine> engine_;
 };
+
+// One capture's bytes, decoded: what DecodeCaptureBytes returns.
+struct CaptureDecode {
+  // Which of the four shapes the bytes hold (text or hwpb, capture or
+  // stream). Bytes no magic matches are parsed, and reported, as a text
+  // capture. Callers that take only one-shot captures refuse streams here.
+  CaptureFileInfo shape;
+  // False when nothing could be decoded: an unusable header, or (strict
+  // mode) any damage. `diags` says why.
+  bool ok = false;
+  DecodedTrace trace;
+  // Every problem found, fatal or salvaged: a 1-based line (text) or byte
+  // offset (hwpb) and the reason; line 0 is file-level.
+  std::vector<TraceDiag> diags;
+};
+
+// The one path from capture bytes to a DecodedTrace, for every tool and for
+// hwprofd. Sniffs the shape and feeds one StreamingDecoder under one header
+// policy: a capture header's board drops, clock envelope and overflow flag;
+// each stream chunk's drops and a stream's torn tail; the parse layer's
+// corrupt words. hwpb bytes are decoded zero-copy through BinaryChunkReader
+// and FeedSoA; text goes through RawTrace::Deserialize* or ParseStreamText.
+// Strict mode (`salvage` false) fails on any damage; salvage mode keeps what
+// survives and counts the rest as corrupt words. `options` picks retain or
+// fold mode (and the shard target).
+//
+// Lifetime: `bytes` need only live for the call; `names` must outlive the
+// returned trace.
+CaptureDecode DecodeCaptureBytes(std::string_view bytes, const TagFile& names,
+                                 bool salvage, StreamingOptions options);
+
+// DecodeCaptureBytes over a mapped file (MapCaptureFile: the socket.load
+// span, socket.download_bytes, and a line-0 "cannot open file" diagnostic).
+CaptureDecode DecodeCaptureFile(const std::string& path, const TagFile& names,
+                                bool salvage, StreamingOptions options);
 
 }  // namespace hwprof
 

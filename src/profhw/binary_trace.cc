@@ -439,6 +439,7 @@ bool BinaryChunkReader::Next(SoaChunk* chunk) {
       if (kind_ == BinaryKind::kStream) {
         truncated_tail_ = true;  // complete records stand; the tail isn't
                                  // there yet (mid-record --follow case)
+        OBS_COUNT("socket.dropped_events", dropped_before);
         return true;
       }
       Diag(payload_start,
@@ -527,6 +528,9 @@ bool BinaryChunkReader::Next(SoaChunk* chunk) {
       OBS_COUNT("socket.corrupt_lines", masked_out);
     }
     pos_ = payload_start + payload_bytes;
+    if (kind_ == BinaryKind::kStream) {
+      OBS_COUNT("socket.dropped_events", dropped_before);
+    }
     return true;
   }
   return false;
@@ -609,7 +613,6 @@ bool DecodeStream(std::string_view bytes, StreamCapture* out,
     chunk.dropped_before = soa.dropped_before;
     ZipChunk(soa, &chunk.events);
     stream.chunks.push_back(std::move(chunk));
-    OBS_COUNT("socket.dropped_events", soa.dropped_before);
   }
   stream.truncated_tail = reader.truncated_tail();
   CopyDiags(reader, diags);

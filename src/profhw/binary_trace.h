@@ -133,6 +133,8 @@ class BinaryChunkReader {
 
   // Decodes the next chunk into *chunk (reusing its vectors). Returns false
   // at end of input or, in strict mode, at the first damage (check failed()).
+  // Stream chunks count their drain-race drops into socket.dropped_events,
+  // as the text stream parser does per chunk header.
   bool Next(SoaChunk* chunk);
 
   // A partial chunk header or payload at EOF was tolerated (stream kind).

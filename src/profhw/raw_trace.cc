@@ -15,7 +15,7 @@ void Note(std::vector<TraceDiag>* diags, int line, std::string message) {
 // Shared parser behind the strict and salvage entry points. In strict mode
 // every problem is a failure (but parsing continues so one pass reports them
 // all); in salvage mode bad event lines are counted and skipped.
-bool Parse(const std::string& text, RawTrace* out, std::vector<TraceDiag>* diags,
+bool Parse(std::string_view text, RawTrace* out, std::vector<TraceDiag>* diags,
            bool salvage, std::uint64_t* corrupt_words) {
   const std::vector<std::string_view> lines = SplitLines(text);
   if (lines.empty()) {
@@ -129,12 +129,12 @@ std::string RawTrace::Serialize() const {
   return out;
 }
 
-bool RawTrace::Deserialize(const std::string& text, RawTrace* out,
+bool RawTrace::Deserialize(std::string_view text, RawTrace* out,
                            std::vector<TraceDiag>* diags) {
   return Parse(text, out, diags, /*salvage=*/false, nullptr);
 }
 
-bool RawTrace::DeserializeSalvage(const std::string& text, RawTrace* out,
+bool RawTrace::DeserializeSalvage(std::string_view text, RawTrace* out,
                                   std::vector<TraceDiag>* diags,
                                   std::uint64_t* corrupt_words) {
   return Parse(text, out, diags, /*salvage=*/true, corrupt_words);

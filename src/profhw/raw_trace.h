@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hwprof {
@@ -79,9 +80,9 @@ struct RawTrace {
   // `*out` unspecified. When `diags` is non-null every problem found is
   // appended with its 1-based line number and reason (parsing continues
   // past bad event lines so one pass reports them all).
-  static bool Deserialize(const std::string& text, RawTrace* out,
+  static bool Deserialize(std::string_view text, RawTrace* out,
                           std::vector<TraceDiag>* diags);
-  static bool Deserialize(const std::string& text, RawTrace* out) {
+  static bool Deserialize(std::string_view text, RawTrace* out) {
     return Deserialize(text, out, nullptr);
   }
 
@@ -90,7 +91,7 @@ struct RawTrace {
   // and skipped; every parseable event is kept. A timestamp wider than the
   // header's timer mask is a corrupt word here (the counter cannot have
   // produced it). Returns false only when the header itself is unusable.
-  static bool DeserializeSalvage(const std::string& text, RawTrace* out,
+  static bool DeserializeSalvage(std::string_view text, RawTrace* out,
                                  std::vector<TraceDiag>* diags,
                                  std::uint64_t* corrupt_words);
 };

@@ -19,20 +19,6 @@ void NoteDiag(std::vector<TraceDiag>* diags, int line, std::string message) {
   }
 }
 
-// Maps (or reads) the whole file; a missing/unreadable file is a file-level
-// (line 0) diagnostic so tools can print a reason instead of a bare failure.
-bool MapFile(const std::string& path, MappedFile* file,
-             std::vector<TraceDiag>* diags) {
-  OBS_SCOPED_SPAN("socket.load");
-  if (!file->Open(path)) {
-    NoteDiag(diags, 0, "cannot open file");
-    OBS_COUNT("socket.load_failures", 1);
-    return false;
-  }
-  OBS_COUNT("socket.download_bytes", file->size());
-  return true;
-}
-
 bool WriteFile(const std::string& path, std::string_view bytes) {
   OBS_SCOPED_SPAN("socket.save");
   std::ofstream out(path, std::ios::trunc | std::ios::binary);
@@ -52,6 +38,24 @@ bool WriteFile(const std::string& path, std::string_view bytes) {
 
 }  // namespace
 
+bool SniffCapture(std::string_view bytes, CaptureFileInfo* info) {
+  *info = CaptureFileInfo{};
+  if (LooksBinaryContainer(bytes)) {
+    info->format = CaptureFormat::kBinary;
+    BinaryKind kind;
+    if (!BinaryKindOf(bytes, &kind)) {
+      return false;
+    }
+    info->is_stream = kind == BinaryKind::kStream;
+    return true;
+  }
+  if (bytes.starts_with("hwprof-stream")) {
+    info->is_stream = true;
+    return true;
+  }
+  return bytes.starts_with("hwprof-raw ");
+}
+
 bool DetectCaptureFile(const std::string& path, CaptureFileInfo* info) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -59,24 +63,20 @@ bool DetectCaptureFile(const std::string& path, CaptureFileInfo* info) {
   }
   char head[16] = {};
   in.read(head, sizeof(head));
-  const std::string_view bytes(head, static_cast<std::size_t>(in.gcount()));
-  BinaryKind kind;
-  if (BinaryKindOf(bytes, &kind)) {
-    info->format = CaptureFormat::kBinary;
-    info->is_stream = kind == BinaryKind::kStream;
-    return true;
+  return SniffCapture(std::string_view(head, static_cast<std::size_t>(in.gcount())),
+                      info);
+}
+
+bool MapCaptureFile(const std::string& path, MappedFile* file,
+                    std::vector<TraceDiag>* diags) {
+  OBS_SCOPED_SPAN("socket.load");
+  if (!file->Open(path)) {
+    NoteDiag(diags, 0, "cannot open file");
+    OBS_COUNT("socket.load_failures", 1);
+    return false;
   }
-  if (bytes.rfind("hwprof-raw ", 0) == 0) {
-    info->format = CaptureFormat::kText;
-    info->is_stream = false;
-    return true;
-  }
-  if (bytes.rfind("hwprof-stream", 0) == 0) {
-    info->format = CaptureFormat::kText;
-    info->is_stream = true;
-    return true;
-  }
-  return false;
+  OBS_COUNT("socket.download_bytes", file->size());
+  return true;
 }
 
 bool SaveCapture(const RawTrace& trace, const std::string& path,
@@ -93,31 +93,17 @@ bool SaveCapture(const RawTrace& trace, const std::string& path) {
 bool LoadCapture(const std::string& path, RawTrace* out,
                  std::vector<TraceDiag>* diags) {
   MappedFile file;
-  if (!MapFile(path, &file, diags)) {
+  if (!MapCaptureFile(path, &file, diags)) {
     return false;
   }
   if (LooksBinaryContainer(file.view())) {
     return DecodeCaptureBinary(file.view(), out, diags);
   }
-  return RawTrace::Deserialize(std::string(file.view()), out, diags);
+  return RawTrace::Deserialize(file.view(), out, diags);
 }
 
 bool LoadCapture(const std::string& path, RawTrace* out) {
   return LoadCapture(path, out, nullptr);
-}
-
-bool LoadCaptureSalvage(const std::string& path, RawTrace* out,
-                        std::vector<TraceDiag>* diags,
-                        std::uint64_t* corrupt_words) {
-  MappedFile file;
-  if (!MapFile(path, &file, diags)) {
-    return false;
-  }
-  if (LooksBinaryContainer(file.view())) {
-    return DecodeCaptureBinarySalvage(file.view(), out, diags, corrupt_words);
-  }
-  return RawTrace::DeserializeSalvage(std::string(file.view()), out, diags,
-                                      corrupt_words);
 }
 
 std::uint64_t StreamCapture::TotalEvents() const {
@@ -263,6 +249,8 @@ bool ParseEventLine(std::string_view line, std::uint32_t mask,
   return true;
 }
 
+}  // namespace
+
 // Shared parser behind the strict and salvage text stream loaders. A torn
 // final line — wherever it falls — is tolerated in both modes (the writer may
 // be mid-append; --follow polls the same file the target is still writing):
@@ -271,9 +259,9 @@ bool ParseEventLine(std::string_view line, std::uint32_t mask,
 // corrupt word each and parsing resynchronises at the next chunk boundary —
 // or at the next run of intact event lines, which are kept as a recovery
 // chunk (a destroyed chunk header must not bill the events behind it).
-bool ParseStream(std::string_view text, StreamCapture* out,
-                 std::vector<TraceDiag>* diags, bool salvage,
-                 std::uint64_t* corrupt_words) {
+bool ParseStreamText(std::string_view text, StreamCapture* out,
+                     std::vector<TraceDiag>* diags, bool salvage,
+                     std::uint64_t* corrupt_words) {
   const std::vector<std::string_view> lines = SplitLines(text);
   if (lines.empty()) {
     NoteDiag(diags, 1, "empty file: expected 'hwprof-stream v1 <bits> <hz>' header");
@@ -390,18 +378,16 @@ bool ParseStream(std::string_view text, StreamCapture* out,
   return true;
 }
 
-}  // namespace
-
 bool LoadStream(const std::string& path, StreamCapture* out,
                 std::vector<TraceDiag>* diags) {
   MappedFile file;
-  if (!MapFile(path, &file, diags)) {
+  if (!MapCaptureFile(path, &file, diags)) {
     return false;
   }
   if (LooksBinaryContainer(file.view())) {
     return DecodeStreamBinary(file.view(), out, diags);
   }
-  return ParseStream(file.view(), out, diags, /*salvage=*/false, nullptr);
+  return ParseStreamText(file.view(), out, diags, /*salvage=*/false, nullptr);
 }
 
 bool LoadStream(const std::string& path, StreamCapture* out) {
@@ -412,13 +398,13 @@ bool LoadStreamSalvage(const std::string& path, StreamCapture* out,
                        std::vector<TraceDiag>* diags,
                        std::uint64_t* corrupt_words) {
   MappedFile file;
-  if (!MapFile(path, &file, diags)) {
+  if (!MapCaptureFile(path, &file, diags)) {
     return false;
   }
   if (LooksBinaryContainer(file.view())) {
     return DecodeStreamBinarySalvage(file.view(), out, diags, corrupt_words);
   }
-  return ParseStream(file.view(), out, diags, /*salvage=*/true, corrupt_words);
+  return ParseStreamText(file.view(), out, diags, /*salvage=*/true, corrupt_words);
 }
 
 }  // namespace hwprof

@@ -29,11 +29,14 @@
 #define HWPROF_SRC_PROFHW_SMART_SOCKET_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/profhw/raw_trace.h"
 
 namespace hwprof {
+
+class MappedFile;
 
 enum class CaptureFormat { kText, kBinary };
 
@@ -43,10 +46,21 @@ struct CaptureFileInfo {
   bool is_stream = false;
 };
 
-// Identifies `path` by magic: the binary container magic, the
-// "hwprof-raw"/"hwprof-stream" text headers. Returns false when the file
-// cannot be opened or matches none of them.
+// Identifies capture bytes (a whole file, or at least its first 16 bytes)
+// by magic: the binary container magic, the "hwprof-raw"/"hwprof-stream"
+// text headers. Returns false when they match none of them; `*info` is then
+// a text capture, or binary when only the container magic is present.
+bool SniffCapture(std::string_view bytes, CaptureFileInfo* info);
+
+// SniffCapture on the first bytes of `path`; also false when the file
+// cannot be opened.
 bool DetectCaptureFile(const std::string& path, CaptureFileInfo* info);
+
+// Maps `path` for reading, under the `socket.load` span, counting
+// `socket.download_bytes`. A missing or unreadable file is a line-0
+// "cannot open file" diagnostic (appended when `diags` is non-null).
+bool MapCaptureFile(const std::string& path, MappedFile* file,
+                    std::vector<TraceDiag>* diags);
 
 // Writes `trace` to `path` in the given format. Returns false on I/O failure.
 bool SaveCapture(const RawTrace& trace, const std::string& path,
@@ -60,13 +74,6 @@ bool SaveCapture(const RawTrace& trace, const std::string& path);
 bool LoadCapture(const std::string& path, RawTrace* out,
                  std::vector<TraceDiag>* diags);
 bool LoadCapture(const std::string& path, RawTrace* out);
-
-// Salvage load: keeps every parseable event, counts unreadable lines into
-// `*corrupt_words` (reporting each into `diags` when non-null). Fails only
-// on I/O failure or an unusable header.
-bool LoadCaptureSalvage(const std::string& path, RawTrace* out,
-                        std::vector<TraceDiag>* diags,
-                        std::uint64_t* corrupt_words);
 
 // --- Chunked stream files ----------------------------------------------------
 
@@ -119,6 +126,13 @@ bool LoadStream(const std::string& path, StreamCapture* out);
 bool LoadStreamSalvage(const std::string& path, StreamCapture* out,
                        std::vector<TraceDiag>* diags,
                        std::uint64_t* corrupt_words);
+
+// The text stream parser behind both loaders, over bytes already in
+// memory: strict (`salvage` false) or salvage, with the torn-tail rules
+// above. `corrupt_words` may be null.
+bool ParseStreamText(std::string_view text, StreamCapture* out,
+                     std::vector<TraceDiag>* diags, bool salvage,
+                     std::uint64_t* corrupt_words);
 
 }  // namespace hwprof
 

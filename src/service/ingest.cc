@@ -6,21 +6,11 @@
 #include "src/analysis/summary.h"
 #include "src/base/strings.h"
 #include "src/obs/telemetry.h"
-#include "src/profhw/binary_trace.h"
-#include "src/profhw/raw_trace.h"
 
 namespace hwprof {
 namespace service {
 
 namespace {
-
-// Everything DecodedTrace::HasAnomalies() counts, as one number (the same
-// ledger hwprof_analyze's --progress heartbeat reports).
-std::uint64_t AnomalyTotal(const DecodedTrace& d) {
-  return d.corrupt_words + d.impossible_deltas + d.wrap_ambiguous_gaps +
-         d.unknown_tags + d.orphan_exits + d.dropped_events +
-         d.MidTraceUnclosedEntries();
-}
 
 // Records one magnitude sample into a hand-built ladder MetricValue (the
 // deterministic self-snapshot's histograms reuse the 1/2/5 ns ladder as a
@@ -277,51 +267,19 @@ UploadOutcome IngestService::DecodePayload(const std::string& payload,
   UploadOutcome out;
   *malformed = false;
   OBS_SCOPED_SPAN("service.decode");
-  DecodedTrace decoded;
-  if (LooksBinaryContainer(payload)) {
-    BinaryChunkReader reader(payload, /*salvage=*/false);
-    if (!reader.header_ok() || reader.kind() != BinaryKind::kCapture) {
-      *malformed = true;
-      return out;
-    }
-    StreamingDecoder decoder(names_, reader.timer_bits(),
-                             reader.timer_clock_hz(),
-                             StreamingOptions{.retain_structure = false});
-    decoder.NoteDropped(reader.dropped_events());
-    decoder.SetClockEnvelope(
-        static_cast<Nanoseconds>(reader.capture_elapsed_ns()));
-    SoaChunk chunk;
-    while (reader.Next(&chunk)) {
-      if (chunk.dropped_before > 0) {
-        decoder.NoteDropped(chunk.dropped_before);
-      }
-      decoder.FeedSoA(chunk.tags.data(), chunk.timestamps.data(),
-                      chunk.tags.size());
-    }
-    if (reader.failed()) {
-      // Strict decode, like the offline loader without --salvage: damaged
-      // containers are typed as malformed rather than partially digested.
-      *malformed = true;
-      return out;
-    }
-    decoder.NoteCorruptWords(reader.corrupt_words());
-    decoded = decoder.Finish(reader.overflowed());
-  } else {
-    RawTrace raw;
-    if (!RawTrace::Deserialize(payload, &raw, nullptr)) {
-      *malformed = true;
-      return out;
-    }
-    StreamingDecoder decoder(names_, raw.timer_bits, raw.timer_clock_hz,
-                             StreamingOptions{.retain_structure = false});
-    decoder.NoteDropped(raw.dropped_events);
-    decoder.SetClockEnvelope(static_cast<Nanoseconds>(raw.capture_elapsed_ns));
-    decoder.Feed(raw.events);
-    decoded = decoder.Finish(raw.overflowed);
+  // Strict decode, like the offline loader without --salvage: damaged
+  // payloads and streams (hwprofd takes one-shot captures only) are typed
+  // as malformed rather than partially digested.
+  const CaptureDecode capture = DecodeCaptureBytes(
+      payload, names_, /*salvage=*/false, StreamingOptions{.retain_structure = false});
+  if (!capture.ok || capture.shape.is_stream) {
+    *malformed = true;
+    return out;
   }
+  const DecodedTrace& decoded = capture.trace;
   out.summary = Summary(decoded).Format(options_.summary_rows);
   out.events = decoded.event_count;
-  out.anomalies = AnomalyTotal(decoded);
+  out.anomalies = decoded.AnomalyTotal();
   return out;
 }
 

@@ -1,8 +1,8 @@
 // Differential capture comparison (TraceDiff / hwprof_analyze --diff):
 // exact row values on synthetic A/B pairs, the inclusive noise threshold,
 // the exit-code contract the CI perf gate relies on, byte-identical output
-// across shard sizes, --jobs values (accepted and ignored) and storage
-// formats (text vs hwpb), and direct CallGraph/Grouping coverage the diff builds on.
+// across shard sizes and storage formats (text vs hwpb), and direct
+// CallGraph/Grouping coverage the diff builds on.
 
 #include "src/analysis/diff.h"
 
@@ -400,7 +400,7 @@ TEST(DiffCli, RegressionsDriveExitCodeThree) {
   EXPECT_NE(out.find("[REGRESSED]"), std::string::npos);
 }
 
-TEST(DiffCli, OutputIsByteIdenticalAcrossJobsAndFormats) {
+TEST(DiffCli, OutputIsByteIdenticalAcrossFormats) {
   const DiffFiles files = WriteDiffFiles();
   std::string error, base;
   const int rc = RunDiffCli({files.a_text.c_str(), files.b_text.c_str(),
@@ -413,29 +413,17 @@ TEST(DiffCli, OutputIsByteIdenticalAcrossJobsAndFormats) {
     const char* what;
     const std::string* a;
     const std::string* b;
-    const char* jobs;  // nullptr = no --jobs (accepted and ignored)
   };
   const Variant variants[] = {
-      {"text jobs=1", &files.a_text, &files.b_text, "1"},
-      {"text jobs=2", &files.a_text, &files.b_text, "2"},
-      {"text jobs=8", &files.a_text, &files.b_text, "8"},
-      {"binary", &files.a_binary, &files.b_binary, nullptr},
-      {"binary jobs=8", &files.a_binary, &files.b_binary, "8"},
-      {"mixed text/binary", &files.a_text, &files.b_binary, nullptr},
+      {"binary", &files.a_binary, &files.b_binary},
+      {"mixed text/binary", &files.a_text, &files.b_binary},
+      {"mixed binary/text", &files.a_binary, &files.b_text},
   };
   for (const Variant& v : variants) {
     std::string out;
-    std::vector<const char*> args{v.a->c_str(), v.b->c_str(), files.names.c_str(),
-                                  "--noise-pct", "1"};
-    if (v.jobs != nullptr) {
-      args.push_back("--jobs");
-      args.push_back(v.jobs);
-    }
-    std::vector<const char*> argv{"hwprof_analyze", "--diff"};
-    argv.insert(argv.end(), args.begin(), args.end());
-    ::testing::internal::CaptureStdout();
-    const int vrc = AnalyzeMain(static_cast<int>(argv.size()), argv.data(), &error);
-    out = ::testing::internal::GetCapturedStdout();
+    const int vrc = RunDiffCli({v.a->c_str(), v.b->c_str(), files.names.c_str(),
+                                "--noise-pct", "1"},
+                               &error, &out);
     EXPECT_EQ(vrc, 3) << v.what << ": " << error;
     EXPECT_EQ(out, base) << v.what;
   }
@@ -452,14 +440,14 @@ TEST(DiffCli, JsonReportMirrorsTheExitCode) {
   EXPECT_NE(out.find("\"status\": \"regressed\""), std::string::npos);
   EXPECT_EQ(out.find("\"regressions\": 0"), std::string::npos);
 
-  // The JSON twin is also byte-stable across storage formats and --jobs.
-  std::string jobs_out;
+  // The JSON twin is also byte-stable across storage formats.
+  std::string binary_out;
   EXPECT_EQ(RunDiffCli({files.a_binary.c_str(), files.b_binary.c_str(),
-                        files.names.c_str(), "--json", "--jobs", "8"},
-                       &error, &jobs_out),
+                        files.names.c_str(), "--json"},
+                       &error, &binary_out),
             3)
       << error;
-  EXPECT_EQ(jobs_out, out);
+  EXPECT_EQ(binary_out, out);
 }
 
 TEST(DiffCli, UsageAndLoadErrors) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
@@ -190,14 +192,22 @@ TEST(AnalyzeCli, JsonReportCarriesTheAnomalyCounters) {
   EXPECT_NE(out.find("\"wrap_ambiguous_gaps\": 0"), std::string::npos);
   EXPECT_NE(out.find("\"functions\": ["), std::string::npos);
   EXPECT_NE(out.find("\"pct_real\":"), std::string::npos);
+}
 
-  // --jobs is accepted and ignored: the JSON is byte-identical.
+TEST(AnalyzeCli, JobsIsAnUnknownOption) {
+  // The one decode engine starts its own threads; --jobs is gone.
+  const CliFiles files = WriteSessionFiles();
+  std::string error;
   ::testing::internal::CaptureStdout();
-  EXPECT_EQ(RunCli({files.capture.c_str(), files.names.c_str(), "--json", "--jobs", "8"},
+  EXPECT_EQ(RunCli({files.capture.c_str(), files.names.c_str(), "--jobs", "8"}, &error), 2);
+  EXPECT_NE(error.find("unknown option '--jobs'"), std::string::npos) << error;
+  error.clear();
+  EXPECT_EQ(RunCli({"--diff", files.capture.c_str(), files.capture.c_str(),
+                    files.names.c_str(), "--jobs", "8"},
                    &error),
-            0)
-      << error;
-  EXPECT_EQ(::testing::internal::GetCapturedStdout(), out);
+            2);
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(error.find("unknown option '--jobs'"), std::string::npos) << error;
 }
 
 TEST(AnalyzeCli, ProgressHeartbeatKeepsJsonStdoutMachineClean) {
@@ -266,6 +276,111 @@ TEST(AnalyzeCli, SalvageRecoversACorruptCaptureAndReportsAnomalies) {
   EXPECT_NE(out.find("(salvaged)"), std::string::npos) << out;
   EXPECT_NE(out.find("Capture anomalies (salvaged):"), std::string::npos) << out;
   EXPECT_NE(out.find("corrupt words"), std::string::npos) << out;
+}
+
+// Just enough of a JSON parser to prove a whole string is one JSON value:
+// objects, arrays, strings with escapes, numbers and the three literals.
+class JsonChecker {
+ public:
+  static bool IsJson(std::string_view text) {
+    JsonChecker c(text);
+    return c.Value() && (c.SkipSpace(), c.at_ == text.size());
+  }
+
+ private:
+  explicit JsonChecker(std::string_view text) : s_(text) {}
+  void SkipSpace() {
+    while (at_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[at_]))) {
+      ++at_;
+    }
+  }
+  bool Eat(char c) {
+    SkipSpace();
+    if (at_ < s_.size() && s_[at_] == c) {
+      ++at_;
+      return true;
+    }
+    return false;
+  }
+  bool String() {
+    if (!Eat('"')) {
+      return false;
+    }
+    while (at_ < s_.size() && s_[at_] != '"') {
+      at_ += s_[at_] == '\\' ? 2 : 1;
+    }
+    return at_++ < s_.size();
+  }
+  template <typename Item>
+  bool List(char open, char close, Item item) {
+    if (!Eat(open)) {
+      return false;
+    }
+    if (Eat(close)) {
+      return true;
+    }
+    do {
+      if (!item()) {
+        return false;
+      }
+    } while (Eat(','));
+    return Eat(close);
+  }
+  bool Value() {
+    SkipSpace();
+    if (at_ >= s_.size()) {
+      return false;
+    }
+    switch (s_[at_]) {
+      case '{':
+        return List('{', '}', [this] { return String() && Eat(':') && Value(); });
+      case '[':
+        return List('[', ']', [this] { return Value(); });
+      case '"':
+        return String();
+      default:
+        break;
+    }
+    for (const std::string_view word : {"true", "false", "null"}) {
+      if (s_.substr(at_, word.size()) == word) {
+        at_ += word.size();
+        return true;
+      }
+    }
+    const std::size_t start = at_;
+    while (at_ < s_.size() && (std::isdigit(static_cast<unsigned char>(s_[at_])) ||
+                               std::string_view("+-.eE").find(s_[at_]) != std::string_view::npos)) {
+      ++at_;
+    }
+    return at_ > start;
+  }
+
+  std::string_view s_;
+  std::size_t at_ = 0;
+};
+
+TEST(AnalyzeCli, SalvageJsonKeepsStdoutMachineClean) {
+  // `--salvage --json | jq` must keep parsing: the salvage warnings go to
+  // stderr, in the same file:line form for both encodings.
+  const std::string capture = ::testing::TempDir() + "/cli_salvage_json.hwprof";
+  const std::string names_path = ::testing::TempDir() + "/cli_salvage_json.names";
+  {
+    std::ofstream out(capture);
+    out << "hwprof-raw v1 24 1000000 0\n100 10\ngarbage here\n101 20\n";
+    std::ofstream names_out(names_path);
+    names_out << "a/100\n";
+  }
+  std::string error;
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const int rc = RunCli({capture.c_str(), names_path.c_str(), "--salvage", "--json"}, &error);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ASSERT_EQ(rc, 0) << error;
+  EXPECT_TRUE(JsonChecker::IsJson(out)) << out;
+  EXPECT_NE(out.find("\"corrupt_words\": 1"), std::string::npos) << out;
+  EXPECT_NE(err.find("warning: " + capture + ":3: "), std::string::npos) << err;
+  EXPECT_NE(err.find("(salvaged)"), std::string::npos) << err;
 }
 
 TEST(AnalyzeCli, FollowToleratesAStreamTruncatedMidRecord) {
@@ -337,8 +452,7 @@ TEST(AnalyzeCli, StatsPrintsThePipelineTelemetrySection) {
   std::string error;
   ::testing::internal::CaptureStdout();
   const int rc = RunCli(
-      {files.capture.c_str(), files.names.c_str(), "--jobs", "1", "--summary",
-       "5", "--stats"},
+      {files.capture.c_str(), files.names.c_str(), "--summary", "5", "--stats"},
       &error);
   const std::string out = ::testing::internal::GetCapturedStdout();
   EXPECT_EQ(rc, 0) << error;
@@ -354,8 +468,7 @@ TEST(AnalyzeCli, StatsJsonEmitsTheTelemetryObject) {
   std::string error;
   ::testing::internal::CaptureStdout();
   const int rc = RunCli(
-      {files.capture.c_str(), files.names.c_str(), "--jobs", "1", "--summary",
-       "5", "--stats-json"},
+      {files.capture.c_str(), files.names.c_str(), "--summary", "5", "--stats-json"},
       &error);
   const std::string out = ::testing::internal::GetCapturedStdout();
   EXPECT_EQ(rc, 0) << error;

@@ -15,10 +15,8 @@
 #include "src/analysis/process_report.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
-#include "src/base/mmap_file.h"
 #include "src/base/strings.h"
 #include "src/obs/telemetry.h"
-#include "src/profhw/binary_trace.h"
 #include "src/profhw/smart_socket.h"
 
 namespace hwprof {
@@ -35,16 +33,18 @@ bool ReadFileToString(const std::string& path, std::string* out) {
   return true;
 }
 
-// "file:line: reason" for every parse problem, appended to `message` (the
-// same shape TagFile diagnostics are printed in; line 0 is file-level).
+// "file:line: reason" for one parse problem (the same shape TagFile
+// diagnostics are printed in); line 0 is file-level.
+std::string FormatTraceDiag(const std::string& path, const TraceDiag& d) {
+  return d.line > 0 ? StrFormat("%s:%d: %s", path.c_str(), d.line, d.message.c_str())
+                    : StrFormat("%s: %s", path.c_str(), d.message.c_str());
+}
+
+// Every parse problem, one per line, appended to `message`.
 void AppendTraceDiags(const std::string& path, const std::vector<TraceDiag>& diags,
                       std::string* message) {
   for (const TraceDiag& d : diags) {
-    if (d.line > 0) {
-      *message += StrFormat("\n%s:%d: %s", path.c_str(), d.line, d.message.c_str());
-    } else {
-      *message += StrFormat("\n%s: %s", path.c_str(), d.message.c_str());
-    }
+    *message += "\n" + FormatTraceDiag(path, d);
   }
 }
 
@@ -65,109 +65,30 @@ void PrintTelemetry(bool text, bool json) {
   }
 }
 
-// Everything HasAnomalies() counts, as one number for the --progress
-// heartbeat.
-std::uint64_t AnomalyTotal(const DecodedTrace& d) {
-  return d.corrupt_words + d.impossible_deltas + d.wrap_ambiguous_gaps +
-         d.unknown_tags + d.orphan_exits + d.dropped_events +
-         d.MidTraceUnclosedEntries();
-}
-
-// Decoder::Decode plus salvage-load corrupt-word accounting, which has to be
-// injected before the feed.
-DecodedTrace DecodeCapture(const RawTrace& raw, const TagFile& names,
-                           std::uint64_t corrupt_words) {
-  StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz,
-                           StreamingOptions{.retain_structure = true});
-  decoder.NoteCorruptWords(corrupt_words);
-  decoder.NoteDropped(raw.dropped_events);
-  decoder.SetClockEnvelope(raw.capture_elapsed_ns);
-  decoder.Feed(raw.events);
-  return decoder.Finish(raw.overflowed);
-}
-
-// Zero-copy fast path for binary capture containers: the chunk reader
-// decodes straight out of the mmap into reused SoA scratch and the columns
-// are fed to the decoder without ever materialising a RawTrace. Anomaly
-// accounting matches the load-then-decode path exactly (the format-matrix
-// tests pin this). Returns false with `error` set on a load/parse failure.
-bool DecodeBinaryCaptureFile(const std::string& path, const TagFile& names,
-                             bool salvage, DecodedTrace* decoded,
-                             std::string* error) {
-  MappedFile file;
-  if (!file.Open(path)) {
-    *error = StrFormat("cannot load capture '%s'\n%s: cannot open file",
-                       path.c_str(), path.c_str());
+// One capture file of either encoding, decoded with its call trees for the
+// batch reports and both sides of --diff. Streams are --follow's input and
+// are refused. Salvaged problems are warned about on stderr, so stdout
+// carries only the reports (`--salvage --json | jq` keeps parsing).
+bool DecodeCaptureArg(const std::string& path, const TagFile& names, bool salvage,
+                      DecodedTrace* decoded, std::string* error) {
+  CaptureDecode capture = DecodeCaptureFile(path, names, salvage,
+                                            StreamingOptions{.retain_structure = true});
+  if (capture.shape.is_stream) {
+    *error = StrFormat(
+        "cannot load capture '%s'\n%s: stream container where a capture "
+        "was expected (use --follow)",
+        path.c_str(), path.c_str());
     return false;
   }
-  BinaryChunkReader reader(file.view(), salvage);
-  auto fail = [&] {
+  if (!capture.ok) {
     *error = StrFormat("cannot load capture '%s'", path.c_str());
-    AppendTraceDiags(path, reader.diags(), error);
-    return false;
-  };
-  if (!reader.header_ok() || reader.kind() != BinaryKind::kCapture) {
-    if (reader.header_ok()) {
-      *error = StrFormat(
-          "cannot load capture '%s'\n%s: stream container where a capture "
-          "was expected (use --follow)",
-          path.c_str(), path.c_str());
-      return false;
-    }
-    return fail();
-  }
-  StreamingDecoder decoder(names, reader.timer_bits(), reader.timer_clock_hz(),
-                           StreamingOptions{.retain_structure = true});
-  decoder.NoteDropped(reader.dropped_events());
-  decoder.SetClockEnvelope(reader.capture_elapsed_ns());
-  SoaChunk chunk;
-  while (reader.Next(&chunk)) {
-    if (chunk.dropped_before > 0) {
-      decoder.NoteDropped(chunk.dropped_before);
-    }
-    decoder.FeedSoA(chunk.tags.data(), chunk.timestamps.data(),
-                    chunk.tags.size());
-  }
-  decoder.NoteCorruptWords(reader.corrupt_words());
-  *decoded = decoder.Finish(reader.overflowed());
-  if (!salvage && reader.failed()) {
-    return fail();
-  }
-  for (const TraceDiag& d : reader.diags()) {
-    std::printf("warning: %s @%d: %s (salvaged)\n", path.c_str(), d.line,
-                d.message.c_str());
-  }
-  return true;
-}
-
-// One capture file of either format to a DecodedTrace: binary containers go
-// through the zero-copy chunk reader, text through the load-then-decode
-// path, both honouring --salvage. Shared by the single-capture reports and
-// both sides of --diff.
-bool DecodeAnyCaptureFile(const std::string& path, const TagFile& names,
-                          bool salvage, DecodedTrace* decoded,
-                          std::string* error) {
-  CaptureFileInfo finfo;
-  if (DetectCaptureFile(path, &finfo) && finfo.format == CaptureFormat::kBinary &&
-      !finfo.is_stream) {
-    return DecodeBinaryCaptureFile(path, names, salvage, decoded, error);
-  }
-  RawTrace raw;
-  std::vector<TraceDiag> capture_diags;
-  std::uint64_t corrupt_words = 0;
-  const bool loaded =
-      salvage ? LoadCaptureSalvage(path, &raw, &capture_diags, &corrupt_words)
-              : LoadCapture(path, &raw, &capture_diags);
-  if (!loaded) {
-    *error = StrFormat("cannot load capture '%s'", path.c_str());
-    AppendTraceDiags(path, capture_diags, error);
+    AppendTraceDiags(path, capture.diags, error);
     return false;
   }
-  for (const TraceDiag& d : capture_diags) {
-    std::printf("warning: %s:%d: %s (salvaged)\n", path.c_str(), d.line,
-                d.message.c_str());
+  for (const TraceDiag& d : capture.diags) {
+    std::fprintf(stderr, "warning: %s (salvaged)\n", FormatTraceDiag(path, d).c_str());
   }
-  *decoded = DecodeCapture(raw, names, corrupt_words);
+  *decoded = std::move(capture.trace);
   return true;
 }
 
@@ -279,8 +200,6 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
       rows = next_number(20);
     } else if (arg == "--poll") {
       polls = static_cast<int>(next_number(1));
-    } else if (arg == "--jobs") {
-      next_number(0);  // accepted and ignored
     } else if (arg == "--salvage") {
       salvage = true;
     } else if (arg == "--progress") {
@@ -368,7 +287,7 @@ int FollowMain(const char* path, const TagFile& names, int argc, const char* con
           static_cast<unsigned long long>(decoder.events_seen()),
           static_cast<unsigned long long>(decoder.dropped_events()), decoder.pending());
       if (progress) {
-        heartbeat(decoder.events_seen(), AnomalyTotal(decoder.SnapshotStats()));
+        heartbeat(decoder.events_seen(), decoder.SnapshotStats().AnomalyTotal());
       }
       std::printf("%s\n", Summary(decoder.SnapshotStats()).Format(rows).c_str());
     }
@@ -402,7 +321,7 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
     *error =
         "usage: hwprof_analyze --diff <baseline> <candidate> <names> "
         "[--noise-pct P] [--quantum-us Q] [--gate all|net] [--json] "
-        "[--jobs N] [--salvage]";
+        "[--salvage]";
     return 2;
   }
   const std::string path_a = argv[2];
@@ -444,12 +363,6 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
       }
     } else if (arg == "--json") {
       json = true;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      std::uint64_t value = 0;  // accepted and ignored
-      if (!ParseUint(argv[++i], &value)) {
-        *error = StrFormat("--jobs needs a number, got '%s'", argv[i]);
-        return 2;
-      }
     } else if (arg == "--salvage") {
       salvage = true;
     } else {
@@ -472,8 +385,8 @@ int DiffMain(int argc, const char* const* argv, std::string* error) {
 
   DecodedTrace baseline;
   DecodedTrace candidate;
-  if (!DecodeAnyCaptureFile(path_a, names, salvage, &baseline, error) ||
-      !DecodeAnyCaptureFile(path_b, names, salvage, &candidate, error)) {
+  if (!DecodeCaptureArg(path_a, names, salvage, &baseline, error) ||
+      !DecodeCaptureArg(path_b, names, salvage, &candidate, error)) {
     return 1;
   }
 
@@ -495,12 +408,12 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
     *error =
         "usage: hwprof_analyze <capture> <names> [--summary N] [--trace N] "
         "[--callgraph N] [--histogram FN] [--groups] [--spl] [--json] "
-        "[--salvage] [--jobs N] [--stats] [--stats-json] [--progress] | "
+        "[--salvage] [--stats] [--stats-json] [--progress] | "
         "<stream> <names> "
-        "--follow [--summary N] [--poll N] [--jobs N] [--salvage] "
+        "--follow [--summary N] [--poll N] [--salvage] "
         "[--progress] [--stats] [--stats-json] | --diff <baseline> "
         "<candidate> <names> [--noise-pct P] [--quantum-us Q] "
-        "[--gate all|net] [--json] [--jobs N] [--salvage]";
+        "[--gate all|net] [--json] [--salvage]";
     return 2;
   }
 
@@ -528,7 +441,7 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
   }
 
   // `--salvage` is resolved before decoding; the remaining options are
-  // consumed by the report loop below (`--jobs N` is accepted and ignored).
+  // consumed by the report loop below.
   bool salvage = false;
   for (int i = 3; i < argc; ++i) {
     if (std::string(argv[i]) == "--salvage") {
@@ -550,7 +463,7 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
     return 1;
   }
   DecodedTrace decoded;
-  if (!DecodeAnyCaptureFile(argv[1], names, salvage, &decoded, error)) {
+  if (!DecodeCaptureArg(argv[1], names, salvage, &decoded, error)) {
     return 1;
   }
   if (decoded.unknown_tags > 0) {
@@ -621,9 +534,7 @@ int AnalyzeMain(int argc, const char* const* argv, std::string* error) {
       // loop to beat along with); stdout report output is untouched.
       std::fprintf(stderr, "progress: %llu events, %llu anomalies (decoded)\n",
                    static_cast<unsigned long long>(decoded.event_count),
-                   static_cast<unsigned long long>(AnomalyTotal(decoded)));
-    } else if (arg == "--jobs") {
-      next_number(0);  // accepted and ignored
+                   static_cast<unsigned long long>(decoded.AnomalyTotal()));
     } else if (arg == "--salvage") {
       // already consumed before the load
     } else {

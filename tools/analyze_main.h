@@ -23,9 +23,8 @@ namespace hwprof {
 //                    anomaly counters, and every summary row
 //   --salvage        tolerate corrupt capture files: unreadable lines are
 //                    warned about, counted as corrupt-word anomalies and
-//                    skipped instead of failing the load
-//   --jobs N         accepted and ignored: the decoder starts worker
-//                    threads by itself once a capture spans two shards
+//                    skipped instead of failing the load (the warnings go
+//                    to stderr)
 //   --stats          append the pipeline-telemetry section (src/obs
 //                    counters, gauges and latency histograms for the load,
 //                    decode, shard-replay and merge stages of this run)

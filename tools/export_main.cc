@@ -8,7 +8,6 @@
 #include "src/analysis/export.h"
 #include "src/base/strings.h"
 #include "src/obs/telemetry.h"
-#include "src/profhw/smart_socket.h"
 
 namespace hwprof {
 namespace {
@@ -37,34 +36,13 @@ bool ReadFileToString(const std::string& path, std::string* out) {
   return true;
 }
 
-// Decodes either capture flavour with the full call structure retained.
-DecodedTrace DecodeForExport(const TagFile& names, const RawTrace* raw,
-                             const StreamCapture* stream,
-                             std::uint64_t corrupt_words) {
-  StreamingDecoder decoder(
-      names, raw != nullptr ? raw->timer_bits : stream->timer_bits,
-      raw != nullptr ? raw->timer_clock_hz : stream->timer_clock_hz,
-      StreamingOptions{.retain_structure = true});
-  decoder.NoteCorruptWords(corrupt_words);
-  if (raw != nullptr) {
-    decoder.NoteDropped(raw->dropped_events);
-    decoder.SetClockEnvelope(raw->capture_elapsed_ns);
-    decoder.Feed(raw->events);
-    return decoder.Finish(raw->overflowed);
-  }
-  for (const TraceChunk& chunk : stream->chunks) {
-    decoder.FeedChunk(chunk);
-  }
-  return decoder.Finish(stream->truncated_tail);
-}
-
 }  // namespace
 
 int ExportMain(int argc, const char* const* argv, std::string* error) {
   if (argc < 3) {
     *error =
         "usage: hwprof_export <capture> <names> [--format trace-event|folded] "
-        "[--out FILE] [--jobs N] [--salvage] [--stats] [--telemetry]";
+        "[--out FILE] [--salvage] [--stats] [--telemetry]";
     return 2;
   }
   const std::string capture_path = argv[1];
@@ -80,13 +58,6 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
       format = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      std::uint64_t value = 0;  // accepted and ignored
-      if (!ParseUint(argv[i + 1], &value)) {
-        *error = StrFormat("--jobs needs a number, got '%s'", argv[i + 1]);
-        return 2;
-      }
-      ++i;
     } else if (arg == "--salvage") {
       salvage = true;
     } else if (arg == "--stats") {
@@ -121,47 +92,21 @@ int ExportMain(int argc, const char* const* argv, std::string* error) {
     return 1;
   }
 
-  // Auto-detect the capture flavour (and format) from the file's magic.
-  CaptureFileInfo finfo;
-  if (!DetectCaptureFile(capture_path, &finfo)) {
-    // Unrecognisable header: fall through to the capture loader for its
-    // detailed diagnostics (a missing file reports there too).
-    finfo = CaptureFileInfo{};
-  }
-  const bool is_stream = finfo.is_stream;
-
-  OBS_SPAN_BEGIN(load);
-  RawTrace raw;
-  StreamCapture stream;
-  std::vector<TraceDiag> diags;
-  std::uint64_t corrupt_words = 0;
-  bool loaded;
-  if (is_stream) {
-    loaded = salvage
-                 ? LoadStreamSalvage(capture_path, &stream, &diags,
-                                     &corrupt_words)
-                 : LoadStream(capture_path, &stream, &diags);
-  } else {
-    loaded = salvage ? LoadCaptureSalvage(capture_path, &raw, &diags,
-                                          &corrupt_words)
-                     : LoadCapture(capture_path, &raw, &diags);
-  }
-  OBS_SPAN_END(load, "export.load");
-  if (!loaded) {
+  // Either encoding, one-shot capture or stream, auto-detected.
+  OBS_SPAN_BEGIN(decode);
+  CaptureDecode capture = DecodeCaptureFile(capture_path, names, salvage,
+                                            StreamingOptions{.retain_structure = true});
+  OBS_SPAN_END(decode, "export.decode");
+  if (!capture.ok) {
     *error = StrFormat("cannot load capture '%s'", capture_path.c_str());
-    AppendTraceDiags(capture_path, diags, error);
+    AppendTraceDiags(capture_path, capture.diags, error);
     return 1;
   }
-  for (const TraceDiag& d : diags) {
+  for (const TraceDiag& d : capture.diags) {
     std::fprintf(stderr, "warning: %s:%d: %s (salvaged)\n",
                  capture_path.c_str(), d.line, d.message.c_str());
   }
-
-  OBS_SPAN_BEGIN(decode);
-  const DecodedTrace decoded =
-      DecodeForExport(names, is_stream ? nullptr : &raw,
-                      is_stream ? &stream : nullptr, corrupt_words);
-  OBS_SPAN_END(decode, "export.decode");
+  const DecodedTrace& decoded = capture.trace;
 
   // The telemetry tracks render only counters that describe the capture:
   // the per-decode anomaly ledger and the load-side socket counters.

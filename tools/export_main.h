@@ -11,15 +11,14 @@ namespace hwprof {
 
 // Runs the exporter:
 //   hwprof_export <capture-file> <names-file> [options]
-// The capture may be either a one-shot `hwprof-raw v1` file or a chunked
-// `hwprof-stream v1` file (auto-detected from the header line).
+// The capture may be a one-shot capture or a chunked stream, in text or
+// hwpb (auto-detected from the first bytes).
 // Options:
 //   --format FMT     trace-event (default): Chrome/Perfetto trace-event
 //                    JSON — open at ui.perfetto.dev or chrome://tracing.
 //                    folded: folded-stack text for flamegraph.pl /
 //                    speedscope, weighted by net nanoseconds.
 //   --out FILE       write to FILE instead of stdout
-//   --jobs N         accepted and ignored (as hwprof_analyze)
 //   --salvage        tolerate corrupt capture files (as hwprof_analyze)
 //   --stats          append the pipeline-telemetry section to stderr
 //   --telemetry      (trace-event only) add one "C" counter track per
