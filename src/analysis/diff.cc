@@ -5,6 +5,7 @@
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/grouping.h"
+#include "src/base/json.h"
 #include "src/base/strings.h"
 
 namespace hwprof {
@@ -120,30 +121,6 @@ SideMap GroupSide(const DecodedTrace& trace,
     out[row.group] = Side{row.net_us, row.calls};
   }
   return out;
-}
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 const char* SectionTitle(int i) {

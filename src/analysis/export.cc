@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
+#include "src/base/json.h"
 #include "src/base/strings.h"
 
 namespace hwprof {
@@ -14,35 +14,11 @@ namespace {
 
 // --- Emission helpers --------------------------------------------------------
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+// `{"name":<name>` — how every named event starts.
+std::string EventStart(std::string_view name) {
+  std::string e = "{\"name\":";
+  AppendJsonString(name, &e);
+  return e;
 }
 
 // Chrome wants microseconds; integer-only rendering of the exact nanosecond
@@ -59,11 +35,10 @@ void EmitNode(const CallNode& node, int tid, Nanoseconds trace_end,
               std::vector<std::string>* events) {
   if (node.fn != nullptr) {
     if (node.inline_marker) {
-      events->push_back(StrFormat(
-          "{\"name\":\"%s\",\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,"
-          "\"s\":\"t\"}",
-          JsonEscape(node.fn->name).c_str(), kPid, tid,
-          UsecStr(node.entry_time).c_str()));
+      std::string e = EventStart(node.fn->name);
+      e += StrFormat(",\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"s\":\"t\"}",
+                     kPid, tid, UsecStr(node.entry_time).c_str());
+      events->push_back(std::move(e));
       return;  // inline markers have no duration and no children
     }
     const Nanoseconds exit = node.closed ? node.exit_time : trace_end;
@@ -76,11 +51,11 @@ void EmitNode(const CallNode& node, int tid, Nanoseconds trace_end,
       args += ",\"forced_close\":1";
     }
     args += "}";
-    events->push_back(StrFormat(
-        "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,"
-        "\"dur\":%s,\"args\":%s}",
-        JsonEscape(node.fn->name).c_str(), kPid, tid,
-        UsecStr(node.entry_time).c_str(), UsecStr(dur).c_str(), args.c_str()));
+    std::string e = EventStart(node.fn->name);
+    e += StrFormat(",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}",
+                   kPid, tid, UsecStr(node.entry_time).c_str(), UsecStr(dur).c_str(),
+                   args.c_str());
+    events->push_back(std::move(e));
   }
   for (const auto& child : node.children) {
     if (child != nullptr) {
@@ -194,12 +169,11 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
       if (m.kind != obs::MetricKind::kCounter) {
         continue;
       }
-      events.push_back(StrFormat(
-          "{\"name\":\"telemetry: %s\",\"ph\":\"C\",\"pid\":%d,\"ts\":%s,"
-          "\"args\":{\"count\":%llu}}",
-          JsonEscape(m.name).c_str(), kPid,
-          UsecStr(decoded.end_time).c_str(),
-          static_cast<unsigned long long>(m.count)));
+      std::string e = EventStart("telemetry: " + m.name);
+      e += StrFormat(",\"ph\":\"C\",\"pid\":%d,\"ts\":%s,\"args\":{\"count\":%llu}}",
+                     kPid, UsecStr(decoded.end_time).c_str(),
+                     static_cast<unsigned long long>(m.count));
+      events.push_back(std::move(e));
     }
   }
 
@@ -252,260 +226,23 @@ std::string ExportFoldedStacks(const DecodedTrace& decoded) {
   return out;
 }
 
-// --- Minimal JSON reader (validation side) -----------------------------------
-// Dependency-free recursive-descent parser, just enough for trace-event
-// files: objects, arrays, strings (with escapes), numbers, true/false/null.
-
 namespace {
 
-struct JValue {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<JValue> arr;
-  std::vector<std::pair<std::string, JValue>> obj;
-
-  const JValue* Get(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : s_(text) {}
-
-  bool Parse(JValue* out, std::string* error) {
-    SkipWs();
-    if (!ParseValue(out)) {
-      if (error != nullptr) {
-        *error = StrFormat("JSON parse error at offset %zu: %s", i_,
-                           err_.empty() ? "malformed value" : err_.c_str());
-      }
-      return false;
-    }
-    SkipWs();
-    if (i_ != s_.size()) {
-      if (error != nullptr) {
-        *error = StrFormat("trailing garbage at offset %zu", i_);
-      }
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void SkipWs() {
-    while (i_ < s_.size() &&
-           (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\n' ||
-            s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-
-  bool Literal(const char* lit) {
-    const std::size_t n = std::string(lit).size();
-    if (s_.compare(i_, n, lit) != 0) return false;
-    i_ += n;
-    return true;
-  }
-
-  bool ParseValue(JValue* out) {
-    if (i_ >= s_.size()) return Fail("unexpected end of input");
-    switch (s_[i_]) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->kind = JValue::kString;
-        return ParseString(&out->str);
-      case 't':
-        out->kind = JValue::kBool;
-        out->boolean = true;
-        return Literal("true") || Fail("bad literal");
-      case 'f':
-        out->kind = JValue::kBool;
-        out->boolean = false;
-        return Literal("false") || Fail("bad literal");
-      case 'n':
-        out->kind = JValue::kNull;
-        return Literal("null") || Fail("bad literal");
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  bool ParseObject(JValue* out) {
-    out->kind = JValue::kObject;
-    ++i_;  // '{'
-    SkipWs();
-    if (i_ < s_.size() && s_[i_] == '}') {
-      ++i_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (i_ >= s_.size() || s_[i_] != '"' || !ParseString(&key)) {
-        return Fail("expected object key");
-      }
-      SkipWs();
-      if (i_ >= s_.size() || s_[i_] != ':') return Fail("expected ':'");
-      ++i_;
-      SkipWs();
-      JValue value;
-      if (!ParseValue(&value)) return false;
-      out->obj.emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (i_ < s_.size() && s_[i_] == ',') {
-        ++i_;
-        continue;
-      }
-      if (i_ < s_.size() && s_[i_] == '}') {
-        ++i_;
-        return true;
-      }
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  bool ParseArray(JValue* out) {
-    out->kind = JValue::kArray;
-    ++i_;  // '['
-    SkipWs();
-    if (i_ < s_.size() && s_[i_] == ']') {
-      ++i_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      JValue value;
-      if (!ParseValue(&value)) return false;
-      out->arr.push_back(std::move(value));
-      SkipWs();
-      if (i_ < s_.size() && s_[i_] == ',') {
-        ++i_;
-        continue;
-      }
-      if (i_ < s_.size() && s_[i_] == ']') {
-        ++i_;
-        return true;
-      }
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    ++i_;  // opening quote
-    out->clear();
-    while (i_ < s_.size() && s_[i_] != '"') {
-      char c = s_[i_];
-      if (c == '\\') {
-        ++i_;
-        if (i_ >= s_.size()) return Fail("unterminated escape");
-        switch (s_[i_]) {
-          case '"':
-            c = '"';
-            break;
-          case '\\':
-            c = '\\';
-            break;
-          case '/':
-            c = '/';
-            break;
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          case 'b':
-            c = '\b';
-            break;
-          case 'f':
-            c = '\f';
-            break;
-          case 'u': {
-            if (i_ + 4 >= s_.size()) return Fail("short \\u escape");
-            unsigned code = 0;
-            for (int k = 1; k <= 4; ++k) {
-              const char h = s_[i_ + static_cast<std::size_t>(k)];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Fail("bad \\u escape");
-              }
-            }
-            i_ += 4;
-            c = static_cast<char>(code & 0xFF);  // enough for our ASCII output
-            break;
-          }
-          default:
-            return Fail("unknown escape");
-        }
-      }
-      out->push_back(c);
-      ++i_;
-    }
-    if (i_ >= s_.size()) return Fail("unterminated string");
-    ++i_;  // closing quote
-    return true;
-  }
-
-  bool ParseNumber(JValue* out) {
-    const std::size_t start = i_;
-    if (i_ < s_.size() && (s_[i_] == '-' || s_[i_] == '+')) ++i_;
-    bool any = false;
-    while (i_ < s_.size() &&
-           ((s_[i_] >= '0' && s_[i_] <= '9') || s_[i_] == '.' ||
-            s_[i_] == 'e' || s_[i_] == 'E' || s_[i_] == '-' || s_[i_] == '+')) {
-      any = true;
-      ++i_;
-    }
-    if (!any) return Fail("expected a value");
-    out->kind = JValue::kNumber;
-    out->number = std::strtod(s_.substr(start, i_ - start).c_str(), nullptr);
-    return true;
-  }
-
-  bool Fail(const char* why) {
-    if (err_.empty()) err_ = why;
-    return false;
-  }
-
-  const std::string& s_;
-  std::size_t i_ = 0;
-  std::string err_;
-};
-
-bool NumberField(const JValue& event, const char* key, double* out) {
-  const JValue* v = event.Get(key);
-  if (v == nullptr || v->kind != JValue::kNumber) return false;
+bool NumberField(const JsonValue& event, const char* key, double* out) {
+  const JsonValue* v = event.Get(key);
+  if (v == nullptr || v->kind != JsonValue::kNumber) return false;
   *out = v->number;
   return true;
 }
 
-bool GetTraceEvents(const JValue& root, const JValue** out,
+bool GetTraceEvents(const JsonValue& root, const JsonValue** out,
                     std::string* error) {
-  if (root.kind != JValue::kObject) {
+  if (root.kind != JsonValue::kObject) {
     *error = "top level is not an object";
     return false;
   }
-  const JValue* events = root.Get("traceEvents");
-  if (events == nullptr || events->kind != JValue::kArray) {
+  const JsonValue* events = root.Get("traceEvents");
+  if (events == nullptr || events->kind != JsonValue::kArray) {
     *error = "missing traceEvents array";
     return false;
   }
@@ -522,11 +259,11 @@ std::uint64_t ToNs(double usec) {
 bool ValidateTraceEventJson(const std::string& json, std::string* error) {
   std::string scratch;
   if (error == nullptr) error = &scratch;
-  JValue root;
-  if (!JsonReader(json).Parse(&root, error)) {
+  JsonValue root;
+  if (!ParseJson(json, &root, error)) {
     return false;
   }
-  const JValue* events = nullptr;
+  const JsonValue* events = nullptr;
   if (!GetTraceEvents(root, &events, error)) {
     return false;
   }
@@ -536,22 +273,22 @@ bool ValidateTraceEventJson(const std::string& json, std::string* error) {
   };
   std::map<std::pair<int, int>, std::vector<Slice>> slices;
   for (std::size_t i = 0; i < events->arr.size(); ++i) {
-    const JValue& e = events->arr[i];
+    const JsonValue& e = events->arr[i];
     auto fail = [&](const char* why) {
       *error = StrFormat("event %zu: %s", i, why);
       return false;
     };
-    if (e.kind != JValue::kObject) return fail("not an object");
-    const JValue* ph = e.Get("ph");
-    if (ph == nullptr || ph->kind != JValue::kString || ph->str.size() != 1) {
+    if (e.kind != JsonValue::kObject) return fail("not an object");
+    const JsonValue* ph = e.Get("ph");
+    if (ph == nullptr || ph->kind != JsonValue::kString || ph->str.size() != 1) {
       return fail("missing one-char ph");
     }
     double pid = 0;
     double tid = 0;
     if (!NumberField(e, "pid", &pid)) return fail("missing numeric pid");
-    const JValue* name = e.Get("name");
+    const JsonValue* name = e.Get("name");
     const bool has_name =
-        name != nullptr && name->kind == JValue::kString && !name->str.empty();
+        name != nullptr && name->kind == JsonValue::kString && !name->str.empty();
     double ts = 0;
     switch (ph->str[0]) {
       case 'X': {
@@ -574,8 +311,8 @@ bool ValidateTraceEventJson(const std::string& json, std::string* error) {
       case 'C': {
         if (!has_name) return fail("counter without a name");
         if (!NumberField(e, "ts", &ts)) return fail("counter without ts");
-        const JValue* args = e.Get("args");
-        if (args == nullptr || args->kind != JValue::kObject ||
+        const JsonValue* args = e.Get("args");
+        if (args == nullptr || args->kind != JsonValue::kObject ||
             args->obj.empty()) {
           return fail("counter without an args object");
         }
@@ -617,26 +354,26 @@ bool SummarizeTraceEventJson(const std::string& json, TraceEventTotals* out,
                              std::string* error) {
   std::string scratch;
   if (error == nullptr) error = &scratch;
-  JValue root;
-  if (!JsonReader(json).Parse(&root, error)) {
+  JsonValue root;
+  if (!ParseJson(json, &root, error)) {
     return false;
   }
-  const JValue* events = nullptr;
+  const JsonValue* events = nullptr;
   if (!GetTraceEvents(root, &events, error)) {
     return false;
   }
   *out = TraceEventTotals{};
-  for (const JValue& e : events->arr) {
-    if (e.kind != JValue::kObject) continue;
-    const JValue* ph = e.Get("ph");
-    const JValue* name = e.Get("name");
-    if (ph == nullptr || ph->kind != JValue::kString || name == nullptr ||
-        name->kind != JValue::kString) {
+  for (const JsonValue& e : events->arr) {
+    if (e.kind != JsonValue::kObject) continue;
+    const JsonValue* ph = e.Get("ph");
+    const JsonValue* name = e.Get("name");
+    if (ph == nullptr || ph->kind != JsonValue::kString || name == nullptr ||
+        name->kind != JsonValue::kString) {
       continue;
     }
     if (ph->str == "X") {
       ++out->slices;
-      const JValue* args = e.Get("args");
+      const JsonValue* args = e.Get("args");
       if (args != nullptr) {
         double v = 0;
         if (NumberField(*args, "net_ns", &v)) {
@@ -650,7 +387,7 @@ bool SummarizeTraceEventJson(const std::string& json, TraceEventTotals* out,
       ++out->instants;
       const std::string prefix = "anomaly: ";
       if (name->str.rfind(prefix, 0) == 0) {
-        const JValue* args = e.Get("args");
+        const JsonValue* args = e.Get("args");
         double v = 0;
         if (args != nullptr && NumberField(*args, "count", &v)) {
           out->anomaly_counts[name->str.substr(prefix.size())] +=

@@ -44,7 +44,8 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
 std::string ExportFoldedStacks(const DecodedTrace& decoded);
 
 // Minimal schema check for trace-event JSON produced by anything (not just
-// us): top-level object with a traceEvents array; every event has a string
+// us). The text must be strict JSON (ParseJson, src/base/json.h), with a
+// top-level object holding a traceEvents array; every event has a string
 // ph and numeric pid/tid; "X" events need name, numeric ts and dur >= 0;
 // "i" events need name and ts; "C" events need name, ts and an args object;
 // "M" events need a name. Also verifies that "X" slices nest properly per

@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "src/base/json.h"
 #include "src/base/strings.h"
 
 namespace hwprof::lint {
@@ -30,17 +31,6 @@ std::pair<std::string, std::string> SplitLast(const std::string& name) {
     return {"", name};
   }
   return {name.substr(0, pos), name.substr(pos + 2)};
-}
-
-void AppendJsonString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-    }
-    out->push_back(c);
-  }
-  out->push_back('"');
 }
 
 // The per-path effect counters of the summary walk. A path's counters are

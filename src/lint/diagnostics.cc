@@ -1,8 +1,8 @@
 #include "src/lint/diagnostics.h"
 
 #include <algorithm>
-#include <cctype>
 
+#include "src/base/json.h"
 #include "src/base/strings.h"
 
 namespace hwprof::lint {
@@ -125,40 +125,6 @@ std::size_t UnsuppressedCount(const std::vector<Finding>& findings) {
 
 // --- JSON writer -------------------------------------------------------------
 
-namespace {
-
-void AppendJsonString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", static_cast<unsigned char>(c));
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 std::string FindingsToJson(const std::vector<Finding>& findings) {
   std::string out = "{\n  \"findings\": [";
   bool first = true;
@@ -181,283 +147,6 @@ std::string FindingsToJson(const std::vector<Finding>& findings) {
   out += StrFormat("\n  ],\n  \"total\": %zu,\n  \"unsuppressed\": %zu\n}\n",
                    findings.size(), UnsuppressedCount(findings));
   return out;
-}
-
-// --- JSON reader -------------------------------------------------------------
-
-namespace {
-
-// Minimal recursive-descent parser for the subset of JSON the writer above
-// produces: objects, arrays, strings (with the escapes we emit), integers,
-// and booleans.
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  bool error() const { return error_; }
-  const std::string& message() const { return message_; }
-
-  void SkipWs() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    Fail(StrFormat("expected '%c' at offset %zu", c, pos_));
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipWs();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool ReadString(std::string* out) {
-    if (!Consume('"')) {
-      return false;
-    }
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        char esc = text_[pos_++];
-        switch (esc) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              Fail("truncated \\u escape");
-              return false;
-            }
-            unsigned value = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = text_[pos_++];
-              value <<= 4;
-              if (h >= '0' && h <= '9') {
-                value |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                value |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                value |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                Fail("bad \\u escape digit");
-                return false;
-              }
-            }
-            c = static_cast<char>(value & 0xFF);
-            break;
-          }
-          default:
-            c = esc;  // \" \\ \/ and anything else map to themselves
-        }
-      }
-      out->push_back(c);
-    }
-    if (pos_ >= text_.size()) {
-      Fail("unterminated string");
-      return false;
-    }
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool ReadInt(long long* out) {
-    SkipWs();
-    bool negative = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      negative = true;
-      ++pos_;
-    }
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      Fail(StrFormat("expected a number at offset %zu", pos_));
-      return false;
-    }
-    long long value = 0;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      value = value * 10 + (text_[pos_++] - '0');
-    }
-    *out = negative ? -value : value;
-    return true;
-  }
-
-  bool ReadBool(bool* out) {
-    SkipWs();
-    if (text_.substr(pos_, 4) == "true") {
-      pos_ += 4;
-      *out = true;
-      return true;
-    }
-    if (text_.substr(pos_, 5) == "false") {
-      pos_ += 5;
-      *out = false;
-      return true;
-    }
-    Fail(StrFormat("expected a boolean at offset %zu", pos_));
-    return false;
-  }
-
-  // Skips any value (used for unrecognized keys, e.g. the totals).
-  bool SkipValue() {
-    SkipWs();
-    if (pos_ >= text_.size()) {
-      Fail("unexpected end of input");
-      return false;
-    }
-    const char c = text_[pos_];
-    if (c == '"') {
-      std::string ignored;
-      return ReadString(&ignored);
-    }
-    if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      ++pos_;
-      SkipWs();
-      if (Peek(close)) {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        if (c == '{') {
-          std::string key;
-          if (!ReadString(&key) || !Consume(':')) {
-            return false;
-          }
-        }
-        if (!SkipValue()) {
-          return false;
-        }
-        SkipWs();
-        if (Peek(',')) {
-          ++pos_;
-          continue;
-        }
-        return Consume(close);
-      }
-    }
-    if (c == 't' || c == 'f') {
-      bool ignored = false;
-      return ReadBool(&ignored);
-    }
-    long long ignored = 0;
-    return ReadInt(&ignored);
-  }
-
-  void Fail(std::string message) {
-    if (!error_) {
-      error_ = true;
-      message_ = std::move(message);
-    }
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  bool error_ = false;
-  std::string message_;
-};
-
-}  // namespace
-
-bool FindingsFromJson(std::string_view json, std::vector<Finding>* out, std::string* error) {
-  JsonReader r(json);
-  std::vector<Finding> findings;
-  if (!r.Consume('{')) {
-    *error = r.message();
-    return false;
-  }
-  while (!r.Peek('}')) {
-    std::string key;
-    if (!r.ReadString(&key) || !r.Consume(':')) {
-      *error = r.message();
-      return false;
-    }
-    if (key != "findings") {
-      if (!r.SkipValue()) {
-        *error = r.message();
-        return false;
-      }
-    } else {
-      if (!r.Consume('[')) {
-        *error = r.message();
-        return false;
-      }
-      while (!r.Peek(']')) {
-        if (!r.Consume('{')) {
-          *error = r.message();
-          return false;
-        }
-        Finding f;
-        while (!r.Peek('}')) {
-          std::string field;
-          if (!r.ReadString(&field) || !r.Consume(':')) {
-            *error = r.message();
-            return false;
-          }
-          bool ok = true;
-          if (field == "rule") {
-            ok = r.ReadString(&f.rule);
-          } else if (field == "file") {
-            ok = r.ReadString(&f.file);
-          } else if (field == "line") {
-            long long line = 0;
-            ok = r.ReadInt(&line);
-            f.line = static_cast<int>(line);
-          } else if (field == "message") {
-            ok = r.ReadString(&f.message);
-          } else if (field == "note") {
-            ok = r.ReadString(&f.note);
-          } else if (field == "suppressed") {
-            ok = r.ReadBool(&f.suppressed);
-          } else if (field == "suppress_reason") {
-            ok = r.ReadString(&f.suppress_reason);
-          } else {
-            ok = r.SkipValue();
-          }
-          if (!ok) {
-            *error = r.message();
-            return false;
-          }
-          if (r.Peek(',')) {
-            r.Consume(',');
-          }
-        }
-        if (!r.Consume('}')) {
-          *error = r.message();
-          return false;
-        }
-        findings.push_back(std::move(f));
-        if (r.Peek(',')) {
-          r.Consume(',');
-        }
-      }
-      if (!r.Consume(']')) {
-        *error = r.message();
-        return false;
-      }
-    }
-    if (r.Peek(',')) {
-      r.Consume(',');
-    }
-  }
-  if (!r.Consume('}')) {
-    *error = r.message();
-    return false;
-  }
-  *out = std::move(findings);
-  return true;
 }
 
 // --- SARIF writer ------------------------------------------------------------

@@ -77,10 +77,6 @@ std::size_t UnsuppressedCount(const std::vector<Finding>& findings);
 // JSON object {"findings": [...], "total": N, "unsuppressed": M}.
 std::string FindingsToJson(const std::vector<Finding>& findings);
 
-// Parses the exact shape FindingsToJson writes (plus arbitrary whitespace).
-// Returns false and sets `*error` on malformed input.
-bool FindingsFromJson(std::string_view json, std::vector<Finding>* out, std::string* error);
-
 // SARIF 2.1.0 log: one run, the full rules catalog, one result per finding.
 // Suppressed findings are carried with an inSource suppression object so
 // SARIF viewers show (rather than lose) the justified baseline.

@@ -1,5 +1,6 @@
 #include "src/lint/trace_check.h"
 
+#include "src/base/json.h"
 #include "src/base/strings.h"
 
 namespace hwprof::lint {
@@ -16,17 +17,6 @@ const char* KindName(TagKind kind) {
       return "inline";
   }
   return "?";
-}
-
-void AppendJsonString(std::string_view s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-    }
-    out->push_back(c);
-  }
-  out->push_back('"');
 }
 
 // Looks the name up in the model; falls back to a nameless entry so findings

@@ -1,57 +1,25 @@
 #include "src/service/event_log.h"
 
+#include "src/base/json.h"
 #include "src/base/strings.h"
 
 namespace hwprof {
 namespace service {
 
-namespace {
-
-// The log only ever carries identifiers and key=value detail text, but a
-// tenant name is caller-supplied — escape the JSON specials so a hostile
-// name cannot break the line format.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string FormatLogEventJson(const LogEvent& event) {
-  return StrFormat(
-      "{\"seq\":%llu,\"t_ns\":%llu,\"ingest\":%llu,\"tenant\":\"%s\","
-      "\"stage\":\"%s\",\"detail\":\"%s\"}",
-      static_cast<unsigned long long>(event.seq),
-      static_cast<unsigned long long>(event.t_ns),
-      static_cast<unsigned long long>(event.ingest_id),
-      JsonEscape(event.tenant).c_str(), JsonEscape(event.stage).c_str(),
-      JsonEscape(event.detail).c_str());
+  // A tenant name is caller-supplied: escaping keeps a hostile name from
+  // breaking the line format.
+  std::string out = StrFormat("{\"seq\":%llu,\"t_ns\":%llu,\"ingest\":%llu,\"tenant\":",
+                              static_cast<unsigned long long>(event.seq),
+                              static_cast<unsigned long long>(event.t_ns),
+                              static_cast<unsigned long long>(event.ingest_id));
+  AppendJsonString(event.tenant, &out);
+  out += ",\"stage\":";
+  AppendJsonString(event.stage, &out);
+  out += ",\"detail\":";
+  AppendJsonString(event.detail, &out);
+  out += "}";
+  return out;
 }
 
 EventLog::EventLog(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}

@@ -1,11 +1,16 @@
-// Unit tests for src/base: PRNG, string helpers, units.
+// Unit tests for src/base: PRNG, string helpers, JSON, units.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string_view>
 
+#include "src/analysis/export.h"
+#include "src/base/json.h"
 #include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/base/thread_pool.h"
@@ -158,6 +163,124 @@ TEST(Strings, ParseUintRejects) {
 }
 
 // --- Units ---------------------------------------------------------------------------
+
+// --- JSON ----------------------------------------------------------------------
+
+TEST(Json, AppendJsonStringPinsTheEscapeMap) {
+  const struct {
+    std::string_view in;
+    std::string_view want;
+  } kCases[] = {
+      {"", R"("")"},
+      {"\"", R"("\"")"},
+      {"\\", R"("\\")"},
+      {"\n", R"("\n")"},
+      {"\r", R"("\r")"},
+      {"\t", R"("\t")"},
+      {"\x01", R"("\u0001")"},
+      {"\x1f", R"("\u001f")"},
+      {std::string_view("a\0b", 3), R"("a\u0000b")"},
+      {"\x7f", "\"\x7f\""},
+      {"r\xc3\xa9seau \xe2\x86\x92 ipintr", "\"r\xc3\xa9seau \xe2\x86\x92 ipintr\""},
+      {"say \"hi\"\tto\\me", R"("say \"hi\"\tto\\me")"},
+  };
+  for (const auto& c : kCases) {
+    std::string out = "[";
+    AppendJsonString(c.in, &out);
+    EXPECT_EQ(out.substr(1), c.want);
+    out += "]";
+    JsonValue parsed;
+    std::string error;
+    ASSERT_TRUE(ParseJson(out, &parsed, &error)) << error << ": " << out;
+    ASSERT_EQ(parsed.arr.size(), 1u);
+    EXPECT_EQ(parsed.arr[0].kind, JsonValue::kString);
+    EXPECT_EQ(parsed.arr[0].str, c.in);
+  }
+}
+
+TEST(Json, ParseJsonReadsEveryValueKind) {
+  JsonValue v;
+  std::string error;
+  ASSERT_TRUE(ParseJson(
+      " {\"a\": [-0, 0.5e-3, 1E+2, 12], \"b\": {\"c\": null}, \"d\": true, "
+      "\"e\": false, \"f\": \"\\u0041\\/\\b\\f\"}\n",
+      &v, &error))
+      << error;
+  ASSERT_EQ(v.kind, JsonValue::kObject);
+  const JsonValue* a = v.Get("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->arr.size(), 4u);
+  EXPECT_EQ(a->arr[0].number, 0.0);
+  EXPECT_EQ(a->arr[1].number, 0.5e-3);
+  EXPECT_EQ(a->arr[2].number, 100.0);
+  EXPECT_EQ(a->arr[3].number, 12.0);
+  EXPECT_EQ(v.Get("b")->Get("c")->kind, JsonValue::kNull);
+  EXPECT_TRUE(v.Get("d")->boolean);
+  EXPECT_EQ(v.Get("e")->kind, JsonValue::kBool);
+  EXPECT_FALSE(v.Get("e")->boolean);
+  EXPECT_EQ(v.Get("f")->str, "A/\b\f");
+  EXPECT_EQ(v.Get("missing"), nullptr);
+}
+
+// A one-event trace whose pid and name are spliced in unescaped.
+std::string MetadataTrace(std::string_view pid, std::string_view name) {
+  return "{\"traceEvents\":[{\"name\":\"" + std::string(name) +
+         "\",\"ph\":\"M\",\"pid\":" + std::string(pid) + ",\"tid\":0}]}";
+}
+
+TEST(Json, StrictReaderRejectsWhatRfc8259Rejects) {
+  std::string error;
+  ASSERT_TRUE(ValidateTraceEventJson(MetadataTrace("1", "m"), &error)) << error;
+  const std::string kInvalid[] = {
+      MetadataTrace("1-2", "m"),
+      MetadataTrace("1.2.3", "m"),
+      MetadataTrace("+5", "m"),
+      MetadataTrace("1e", "m"),
+      MetadataTrace("01", "m"),
+      MetadataTrace("1", "tab\there"),
+      "",
+      "{",
+      "{\"a\":1,}",
+      "[1,]",
+      "\"\\u12\"",
+      "\"\\u12",
+      "-",
+      "1.",
+      ".5",
+      "1e+",
+      "tru",
+      "\"open",
+      "\"bad \\x escape\"",
+      "{\"a\" 1}",
+      "[1 2]",
+      "{} {}",
+      std::string(100000, '['),
+  };
+  for (const std::string& text : kInvalid) {
+    JsonValue v;
+    error.clear();
+    EXPECT_FALSE(ParseJson(text, &v, &error)) << text.substr(0, 80);
+    EXPECT_FALSE(error.empty()) << text.substr(0, 80);
+    EXPECT_FALSE(ValidateTraceEventJson(text, nullptr)) << text.substr(0, 80);
+  }
+}
+
+TEST(Json, EveryProperPrefixOfTheGoldenExportIsRejected) {
+  std::ifstream in(std::string(HWPROF_TEST_DIR) + "/golden/small_export.json",
+                   std::ios::binary);
+  ASSERT_TRUE(in);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  std::string error;
+  ASSERT_TRUE(ValidateTraceEventJson(text, &error)) << error;
+  // The file ends in a newline; the prefix without it is still one value.
+  const std::size_t body = text.find_last_not_of('\n') + 1;
+  for (std::size_t n = 0; n < body; ++n) {
+    JsonValue v;
+    EXPECT_FALSE(ParseJson(std::string_view(text).substr(0, n), &v, nullptr)) << n;
+  }
+}
 
 TEST(Units, Conversions) {
   EXPECT_EQ(Usec(3), 3000u);

@@ -12,7 +12,9 @@
 #include <vector>
 
 #include "src/analysis/decoder.h"
+#include "src/base/json.h"
 #include "src/instr/tag_file.h"
+#include "src/lint/callgraph.h"
 #include "src/lint/diagnostics.h"
 #include "src/lint/lexer.h"
 #include "src/lint/lint.h"
@@ -456,20 +458,37 @@ TEST(LintTags, ModelCrossChecks) {
 
 // --- JSON round trip ---------------------------------------------------------
 
+// The findings array of a FindingsToJson document, read back through the
+// shared JSON reader.
+std::vector<JsonValue> ParsedFindings(const std::string& json) {
+  JsonValue root;
+  std::string error;
+  EXPECT_TRUE(ParseJson(json, &root, &error)) << error;
+  const JsonValue* findings = root.Get("findings");
+  EXPECT_TRUE(findings != nullptr && findings->kind == JsonValue::kArray) << json;
+  return findings != nullptr ? findings->arr : std::vector<JsonValue>{};
+}
+
+std::string StringField(const JsonValue& v, const char* key) {
+  const JsonValue* field = v.Get(key);
+  return field != nullptr && field->kind == JsonValue::kString ? field->str : "<missing>";
+}
+
 TEST(LintJson, FindingsRoundTrip) {
   const LintResult result = LintFixture("bad_spl.cc");
   ASSERT_FALSE(result.findings.empty());
-  const std::string json = FindingsToJson(result.findings);
-  std::vector<Finding> parsed;
-  std::string error;
-  ASSERT_TRUE(FindingsFromJson(json, &parsed, &error)) << error;
+  const std::vector<JsonValue> parsed = ParsedFindings(FindingsToJson(result.findings));
   ASSERT_EQ(parsed.size(), result.findings.size());
   for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].rule, result.findings[i].rule);
-    EXPECT_EQ(parsed[i].file, result.findings[i].file);
-    EXPECT_EQ(parsed[i].line, result.findings[i].line);
-    EXPECT_EQ(parsed[i].message, result.findings[i].message);
-    EXPECT_EQ(parsed[i].suppressed, result.findings[i].suppressed);
+    EXPECT_EQ(StringField(parsed[i], "rule"), result.findings[i].rule);
+    EXPECT_EQ(StringField(parsed[i], "file"), result.findings[i].file);
+    const JsonValue* line = parsed[i].Get("line");
+    ASSERT_NE(line, nullptr);
+    EXPECT_EQ(line->number, result.findings[i].line);
+    EXPECT_EQ(StringField(parsed[i], "message"), result.findings[i].message);
+    const JsonValue* suppressed = parsed[i].Get("suppressed");
+    ASSERT_NE(suppressed, nullptr);
+    EXPECT_EQ(suppressed->boolean, result.findings[i].suppressed);
   }
 }
 
@@ -479,13 +498,10 @@ TEST(LintJson, EscapesSurviveRoundTrip) {
   in[0].file = "a\\b.cc";
   in[0].line = 3;
   in[0].message = "quote \" tab \t newline \n ctl \x01 done";
-  const std::string json = FindingsToJson(in);
-  std::vector<Finding> out;
-  std::string error;
-  ASSERT_TRUE(FindingsFromJson(json, &out, &error)) << error;
+  const std::vector<JsonValue> out = ParsedFindings(FindingsToJson(in));
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].file, in[0].file);
-  EXPECT_EQ(out[0].message, in[0].message);
+  EXPECT_EQ(StringField(out[0], "file"), in[0].file);
+  EXPECT_EQ(StringField(out[0], "message"), in[0].message);
 }
 
 TEST(LintJson, SarifCarriesRulesAndSuppressions) {
@@ -502,13 +518,6 @@ TEST(LintJson, SarifCarriesRulesAndSuppressions) {
   EXPECT_NE(sarif.find("\"startLine\": "), std::string::npos);
 }
 
-TEST(LintJson, MalformedInputRejected) {
-  std::vector<Finding> out;
-  std::string error;
-  EXPECT_FALSE(FindingsFromJson("{\"findings\": [", &out, &error));
-  EXPECT_FALSE(error.empty());
-}
-
 // --- call-structure model and trace cross-check ------------------------------
 
 TEST(LintTrace, ModelExport) {
@@ -519,6 +528,30 @@ TEST(LintTrace, ModelExport) {
   EXPECT_NE(json.find("\"name\": \"plainfn\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\": \"inline\""), std::string::npos);
   EXPECT_NE(json.find("\"file\": \"reg.cc\""), std::string::npos);
+}
+
+TEST(LintTrace, ModelJsonCarriesAControlCharacterPath) {
+  // A tab in a source path must come out escaped, or --model-out writes a
+  // file no JSON reader accepts.
+  const LintResult result = LintText({{"a\tb.cc", ReadFixture("good_kernel.cc")}});
+  const std::string json = ModelToJson(result.model, CallGraphToJson(result.graph));
+  JsonValue root;
+  std::string error;
+  ASSERT_TRUE(ParseJson(json, &root, &error)) << error << "\n" << json;
+  const JsonValue* functions = root.Get("functions");
+  ASSERT_NE(functions, nullptr);
+  ASSERT_FALSE(functions->arr.empty());
+  for (const JsonValue& fn : functions->arr) {
+    EXPECT_EQ(StringField(fn, "file"), "a\tb.cc");
+  }
+  const JsonValue* graph = root.Get("call_graph");
+  ASSERT_NE(graph, nullptr);
+  const JsonValue* nodes = graph->Get("nodes");
+  ASSERT_NE(nodes, nullptr);
+  ASSERT_FALSE(nodes->arr.empty());
+  for (const JsonValue& node : nodes->arr) {
+    EXPECT_EQ(StringField(node, "file"), "a\tb.cc");
+  }
 }
 
 TEST(LintTrace, CrossCheckAttributesAnomalies) {

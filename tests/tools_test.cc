@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdio>
 #include <fstream>
-#include <string_view>
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
+#include "src/base/json.h"
 #include "src/profhw/smart_socket.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/workloads.h"
@@ -278,87 +277,6 @@ TEST(AnalyzeCli, SalvageRecoversACorruptCaptureAndReportsAnomalies) {
   EXPECT_NE(out.find("corrupt words"), std::string::npos) << out;
 }
 
-// Just enough of a JSON parser to prove a whole string is one JSON value:
-// objects, arrays, strings with escapes, numbers and the three literals.
-class JsonChecker {
- public:
-  static bool IsJson(std::string_view text) {
-    JsonChecker c(text);
-    return c.Value() && (c.SkipSpace(), c.at_ == text.size());
-  }
-
- private:
-  explicit JsonChecker(std::string_view text) : s_(text) {}
-  void SkipSpace() {
-    while (at_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[at_]))) {
-      ++at_;
-    }
-  }
-  bool Eat(char c) {
-    SkipSpace();
-    if (at_ < s_.size() && s_[at_] == c) {
-      ++at_;
-      return true;
-    }
-    return false;
-  }
-  bool String() {
-    if (!Eat('"')) {
-      return false;
-    }
-    while (at_ < s_.size() && s_[at_] != '"') {
-      at_ += s_[at_] == '\\' ? 2 : 1;
-    }
-    return at_++ < s_.size();
-  }
-  template <typename Item>
-  bool List(char open, char close, Item item) {
-    if (!Eat(open)) {
-      return false;
-    }
-    if (Eat(close)) {
-      return true;
-    }
-    do {
-      if (!item()) {
-        return false;
-      }
-    } while (Eat(','));
-    return Eat(close);
-  }
-  bool Value() {
-    SkipSpace();
-    if (at_ >= s_.size()) {
-      return false;
-    }
-    switch (s_[at_]) {
-      case '{':
-        return List('{', '}', [this] { return String() && Eat(':') && Value(); });
-      case '[':
-        return List('[', ']', [this] { return Value(); });
-      case '"':
-        return String();
-      default:
-        break;
-    }
-    for (const std::string_view word : {"true", "false", "null"}) {
-      if (s_.substr(at_, word.size()) == word) {
-        at_ += word.size();
-        return true;
-      }
-    }
-    const std::size_t start = at_;
-    while (at_ < s_.size() && (std::isdigit(static_cast<unsigned char>(s_[at_])) ||
-                               std::string_view("+-.eE").find(s_[at_]) != std::string_view::npos)) {
-      ++at_;
-    }
-    return at_ > start;
-  }
-
-  std::string_view s_;
-  std::size_t at_ = 0;
-};
-
 TEST(AnalyzeCli, SalvageJsonKeepsStdoutMachineClean) {
   // `--salvage --json | jq` must keep parsing: the salvage warnings go to
   // stderr, in the same file:line form for both encodings.
@@ -377,7 +295,9 @@ TEST(AnalyzeCli, SalvageJsonKeepsStdoutMachineClean) {
   const std::string out = ::testing::internal::GetCapturedStdout();
   const std::string err = ::testing::internal::GetCapturedStderr();
   ASSERT_EQ(rc, 0) << error;
-  EXPECT_TRUE(JsonChecker::IsJson(out)) << out;
+  JsonValue parsed;
+  std::string parse_error;
+  EXPECT_TRUE(ParseJson(out, &parsed, &parse_error)) << parse_error << "\n" << out;
   EXPECT_NE(out.find("\"corrupt_words\": 1"), std::string::npos) << out;
   EXPECT_NE(err.find("warning: " + capture + ":3: "), std::string::npos) << err;
   EXPECT_NE(err.find("(salvaged)"), std::string::npos) << err;

@@ -15,6 +15,7 @@
 #include "src/analysis/process_report.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
+#include "src/base/json.h"
 #include "src/base/strings.h"
 #include "src/obs/telemetry.h"
 #include "src/profhw/smart_socket.h"
@@ -90,36 +91,6 @@ bool DecodeCaptureArg(const std::string& path, const TagFile& names, bool salvag
   }
   *decoded = std::move(capture.trace);
   return true;
-}
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 // Machine-readable report: capture header, the typed anomaly counters, and
