@@ -2,12 +2,14 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <vector>
 
 #include "src/base/strings.h"
 #include "src/service/ops.h"
@@ -17,88 +19,129 @@ namespace service {
 
 namespace {
 
-// Per-connection I/O timeout. A client that connects and then goes silent
-// must not pin a handler thread forever: reads and writes give up after
-// this long (SO_RCVTIMEO/SO_SNDTIMEO make them fail with EAGAIN), and the
-// handler closes the connection.
-constexpr int kConnIoTimeoutSec = 10;
+using Clock = std::chrono::steady_clock;
 
-// Blocking full write; false on error (EPIPE from a vanished client is an
-// error like any other — the connection is simply abandoned).
-bool WriteAll(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
+// Each connection must be answered within this long of its accept. The
+// deadline is absolute, so a client that trickles bytes cannot stretch it.
+constexpr auto kConnDeadline = std::chrono::seconds(10);
+// The longest request line; a longer one closes the connection unanswered.
+constexpr std::size_t kMaxLineBytes = 4096;
+
+// One connection: the request line, then an upload's payload (or, after an
+// oversize DROP, input discarded until EOF), then the reply and close.
+struct Conn {
+  Conn(int fd, Clock::time_point deadline) : fd(fd), deadline(deadline) {}
+
+  enum Phase { kLine, kPayload, kDiscard, kReply } phase = kLine;
+  int fd;
+  Clock::time_point deadline;
+  bool eof = false;
+  std::string in;  // the request line, then the payload received so far
+  std::string tenant;
+  std::size_t nbytes = 0;  // the payload size the UPLOAD header declared
+  std::string out;
+  std::size_t sent = 0;  // bytes of `out` already sent
+
+  bool Reading() const { return !eof && phase != kReply; }
+};
+
+void Reply(Conn* c, std::string reply) {
+  c->out = std::move(reply);
+  c->phase = Conn::kReply;
+}
+
+std::string UploadReply(const SubmitResult& r) {
+  const auto id = static_cast<unsigned long long>(r.ingest_id);
+  return r.accepted ? StrFormat("ACCEPT %llu\n", id)
+                    : StrFormat("DROP %s %llu\n", DropReasonName(r.reason), id);
+}
+
+// Answers an ops command or a rejected UPLOAD header; a good header moves
+// the connection on to its payload.
+void StartRequest(IngestService& service, const std::string& line, Conn* c) {
+  if (!StartsWith(line, "UPLOAD ")) {
+    Reply(c, HandleOpsCommand(service, line));
+    return;
+  }
+  // "UPLOAD <tenant> <nbytes>" + nbytes of raw payload.
+  std::vector<std::string_view> words;
+  for (std::string_view w : Split(line, ' ')) {
+    if (!w.empty()) {
+      words.push_back(w);
     }
-    off += static_cast<std::size_t>(n);
+  }
+  std::uint64_t nbytes = 0;
+  if (words.size() != 3 || !ParseUint(words[2], &nbytes)) {
+    Reply(c, "ERR upload header must be: UPLOAD <tenant> <nbytes>\n");
+    return;
+  }
+  if (nbytes > service.max_upload_bytes()) {
+    // Reply from the header alone, so a lying or huge header never drives
+    // an nbytes-sized allocation; then discard the body until EOF, so the
+    // client finishes its write and reads the reply.
+    c->out = UploadReply(service.RejectOversize(std::string(words[1]), nbytes));
+    c->phase = Conn::kDiscard;
+    return;
+  }
+  c->phase = Conn::kPayload;
+  c->tenant = std::string(words[1]);
+  c->nbytes = static_cast<std::size_t>(nbytes);
+  c->in.reserve(c->nbytes);
+}
+
+// Reads what the peer sent and answers once the request is complete. False
+// when the connection must close unanswered: a read error, EOF mid-line or
+// an overlong line.
+bool Receive(IngestService& service, Conn* c) {
+  char buf[64 * 1024];
+  const std::size_t want = c->phase == Conn::kPayload
+                               ? std::min(sizeof(buf), c->nbytes - c->in.size())
+                               : sizeof(buf);
+  const ssize_t n = ::read(c->fd, buf, want);
+  if (n < 0) {
+    return errno == EINTR || errno == EAGAIN;
+  }
+  c->eof = n == 0;
+  if (c->phase == Conn::kDiscard) {
+    return true;
+  }
+  const std::size_t scanned = c->in.size();
+  c->in.append(buf, static_cast<std::size_t>(n));
+  if (c->phase == Conn::kLine) {
+    const std::size_t nl = c->in.find('\n', scanned);
+    if (nl == std::string::npos || nl > kMaxLineBytes) {
+      return nl == std::string::npos && !c->eof &&
+             c->in.size() <= kMaxLineBytes;
+    }
+    const std::string line = c->in.substr(0, nl);
+    c->in.erase(0, nl + 1);
+    StartRequest(service, line, c);
+    if (c->phase != Conn::kPayload) {
+      return true;
+    }
+  }
+  if (c->in.size() >= c->nbytes) {
+    c->in.resize(c->nbytes);
+    Reply(c, UploadReply(service.Submit(c->tenant, std::move(c->in))));
+  } else if (c->eof) {
+    Reply(c, "ERR short upload payload\n");
   }
   return true;
 }
 
-// Reads one '\n'-terminated line (newline stripped); false on EOF/error
-// before a newline or when the line exceeds the cap.
-bool ReadLine(int fd, std::string* line, std::size_t max_len = 4096) {
-  line->clear();
-  char c = 0;
-  for (;;) {
-    const ssize_t n = ::read(fd, &c, 1);
-    if (n == 0) {
-      return false;
-    }
+// Sends data from *off on until it is all sent, a non-blocking socket is
+// full, or an error (false; a vanished peer is an error like any other).
+bool Send(int fd, std::string_view data, std::size_t* off) {
+  while (*off < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + *off, data.size() - *off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
-      return false;
+      return errno == EAGAIN;
     }
-    if (c == '\n') {
-      return true;
-    }
-    if (line->size() >= max_len) {
-      return false;
-    }
-    line->push_back(c);
-  }
-}
-
-// Discards whatever the peer still has in flight, in a bounded buffer,
-// until EOF/error (the receive timeout bounds a peer that never closes).
-// Used after an early DROP reply so the client can finish writing its
-// (real, bounded) payload and read the reply instead of dying on EPIPE.
-void DrainToEof(int fd) {
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      return;
-    }
-  }
-}
-
-bool ReadExact(int fd, std::string* out, std::size_t nbytes) {
-  out->clear();
-  out->resize(nbytes);
-  std::size_t off = 0;
-  while (off < nbytes) {
-    const ssize_t n = ::read(fd, out->data() + off, nbytes - off);
-    if (n == 0) {
-      return false;
-    }
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
+    *off += static_cast<std::size_t>(n);
   }
   return true;
 }
@@ -126,19 +169,33 @@ int ConnectTo(const std::string& socket_path, std::string* error) {
   return fd;
 }
 
-std::string ReadToEof(int fd) {
-  std::string out;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      return out;
-    }
-    out.append(buf, static_cast<std::size_t>(n));
+// One client exchange: sends `head` and `body`, half-closes and reads the
+// reply to EOF. Empty string + *error set on connect/IO failure.
+std::string Exchange(const std::string& socket_path, std::string_view head,
+                     std::string_view body, std::string* error) {
+  error->clear();
+  const int fd = ConnectTo(socket_path, error);
+  if (fd < 0) {
+    return "";
   }
+  std::size_t sent[2] = {0, 0};
+  if (!Send(fd, head, &sent[0]) || !Send(fd, body, &sent[1])) {
+    *error = StrFormat("write: %s", std::strerror(errno));
+    ::close(fd);
+    return "";
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string reply;
+  char buf[4096];
+  for (ssize_t n = 0; (n = ::read(fd, buf, sizeof(buf))) != 0;) {
+    if (n > 0) {
+      reply.append(buf, static_cast<std::size_t>(n));
+    } else if (errno != EINTR) {
+      break;
+    }
+  }
+  ::close(fd);
+  return reply;
 }
 
 }  // namespace
@@ -156,7 +213,7 @@ bool OpsServer::Start() {
     return false;
   }
   std::memcpy(addr.sun_path, socket_path_.c_str(), socket_path_.size() + 1);
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     last_error_ = StrFormat("socket: %s", std::strerror(errno));
     return false;
@@ -177,150 +234,74 @@ bool OpsServer::Start() {
     return false;
   }
   stopping_.store(false, std::memory_order_relaxed);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  thread_ = std::thread([this] { Serve(); });
   return true;
 }
 
 void OpsServer::Stop() {
   stopping_.store(true, std::memory_order_relaxed);
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
+  if (thread_.joinable()) {
+    thread_.join();
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     ::unlink(socket_path_.c_str());
   }
-  std::vector<std::thread> handlers;
-  {
-    std::lock_guard<std::mutex> lock(handlers_mu_);
-    // Unblock handlers parked in read()/write() so the joins below return
-    // promptly; a handler removes its fd from open_fds_ (under this mutex)
-    // before closing it, so no shutdown() here can hit a recycled fd.
-    for (const int fd : open_fds_) {
-      ::shutdown(fd, SHUT_RDWR);
-    }
-    handlers.swap(handlers_);
-  }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) {
-      t.join();
-    }
-  }
 }
 
-void OpsServer::AcceptLoop() {
+void OpsServer::Serve() {
+  std::vector<Conn> conns;
+  std::vector<pollfd> fds;
+  // False after accept() ran out of descriptors or memory, when polling the
+  // still-readable listener would spin; a close or an idle poll re-arms it.
+  bool accepting = true;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
-    if (ready <= 0) {
-      continue;  // timeout (re-check stopping_) or EINTR
+    // fds[0] is the listener (poll skips fd -1); fds[i + 1] is conns[i].
+    fds.assign(1, pollfd{accepting ? listen_fd_ : -1, POLLIN, 0});
+    for (const Conn& c : conns) {
+      const int events = (c.Reading() ? POLLIN : 0) |
+                         (c.sent < c.out.size() ? POLLOUT : 0);
+      fds.push_back(pollfd{c.fd, static_cast<short>(events), 0});
     }
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      continue;
+    if (::poll(fds.data(), fds.size(), /*timeout_ms=*/50) == 0) {
+      accepting = true;
     }
-    timeval io_timeout{};
-    io_timeout.tv_sec = kConnIoTimeoutSec;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &io_timeout, sizeof(io_timeout));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &io_timeout, sizeof(io_timeout));
-    std::vector<std::thread> reap;
-    {
-      std::lock_guard<std::mutex> lock(handlers_mu_);
-      open_fds_.insert(fd);
-      handlers_.emplace_back([this, fd] { HandleConnection(fd); });
-      if (handlers_.size() > 256) {
-        // Connections are one-request and short-lived; joining the batch
-        // here bounds the thread-object list for a long-running daemon.
-        handlers_.swap(reap);
+    const Clock::time_point now = Clock::now();
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      Conn& c = conns[i];
+      bool open = now < c.deadline;
+      if (open && c.Reading() && fds[i + 1].revents != 0) {
+        open = Receive(service_, &c);
+      }
+      if (!open || !Send(c.fd, c.out, &c.sent) ||
+          (c.sent == c.out.size() &&
+           (c.phase == Conn::kReply || (c.phase == Conn::kDiscard && c.eof)))) {
+        ::close(c.fd);
+        c.fd = -1;
+        accepting = true;
       }
     }
-    for (std::thread& t : reap) {
-      if (t.joinable()) {
-        t.join();
+    std::erase_if(conns, [](const Conn& c) { return c.fd < 0; });
+    while ((fds[0].revents & POLLIN) != 0) {
+      const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd < 0) {
+        accepting = errno == EAGAIN || errno == EINTR || errno == ECONNABORTED;
+        break;
       }
+      conns.emplace_back(fd, Clock::now() + kConnDeadline);
     }
   }
-}
-
-void OpsServer::HandleConnection(int fd) {
-  ServeConnection(fd);
-  {
-    std::lock_guard<std::mutex> lock(handlers_mu_);
-    open_fds_.erase(fd);
+  for (const Conn& c : conns) {
+    ::close(c.fd);
   }
-  ::close(fd);
-}
-
-void OpsServer::ServeConnection(int fd) {
-  std::string line;
-  if (!ReadLine(fd, &line)) {
-    return;
-  }
-  if (StartsWith(line, "UPLOAD ")) {
-    // "UPLOAD <tenant> <nbytes>" + nbytes of raw payload.
-    std::vector<std::string_view> words;
-    for (std::string_view w : Split(line, ' ')) {
-      if (!w.empty()) {
-        words.push_back(w);
-      }
-    }
-    std::uint64_t nbytes = 0;
-    if (words.size() != 3 || !ParseUint(words[2], &nbytes)) {
-      WriteAll(fd, "ERR upload header must be: UPLOAD <tenant> <nbytes>\n");
-      return;
-    }
-    if (nbytes > service_.max_upload_bytes()) {
-      // The declared size already exceeds the admission cap: account the
-      // typed drop and reply WITHOUT buffering — a lying or huge header
-      // must never drive an nbytes-sized allocation. Then drain whatever
-      // the client actually sent so its payload write completes and it can
-      // read the reply instead of tripping over an early close.
-      const SubmitResult r = service_.RejectOversize(std::string(words[1]),
-                                                     nbytes);
-      WriteAll(fd, StrFormat("DROP %s %llu\n", DropReasonName(r.reason),
-                             static_cast<unsigned long long>(r.ingest_id)));
-      DrainToEof(fd);
-      return;
-    }
-    std::string payload;
-    if (nbytes > 0 &&
-        !ReadExact(fd, &payload, static_cast<std::size_t>(nbytes))) {
-      WriteAll(fd, "ERR short upload payload\n");
-      return;
-    }
-    const SubmitResult r =
-        service_.Submit(std::string(words[1]), std::move(payload));
-    if (r.accepted) {
-      WriteAll(fd, StrFormat("ACCEPT %llu\n",
-                             static_cast<unsigned long long>(r.ingest_id)));
-    } else {
-      WriteAll(fd, StrFormat("DROP %s %llu\n", DropReasonName(r.reason),
-                             static_cast<unsigned long long>(r.ingest_id)));
-    }
-    return;
-  }
-  WriteAll(fd, HandleOpsCommand(service_, line));
 }
 
 std::string OpsQuery(const std::string& socket_path, const std::string& command,
                      std::string* error) {
-  error->clear();
-  const int fd = ConnectTo(socket_path, error);
-  if (fd < 0) {
-    return "";
-  }
-  if (!WriteAll(fd, command + "\n")) {
-    *error = StrFormat("write: %s", std::strerror(errno));
-    ::close(fd);
-    return "";
-  }
-  ::shutdown(fd, SHUT_WR);
-  std::string response = ReadToEof(fd);
-  ::close(fd);
-  if (response.empty()) {
+  std::string response = Exchange(socket_path, command + "\n", {}, error);
+  if (response.empty() && error->empty()) {
     *error = "empty response";
   }
   return response;
@@ -331,25 +312,18 @@ bool OpsUpload(const std::string& socket_path, const std::string& tenant,
                std::string* drop_reason, std::string* error) {
   *ingest_id = 0;
   drop_reason->clear();
-  error->clear();
-  const int fd = ConnectTo(socket_path, error);
-  if (fd < 0) {
-    return false;
-  }
   const std::string header =
       StrFormat("UPLOAD %s %zu\n", tenant.c_str(), payload.size());
-  if (!WriteAll(fd, header) || !WriteAll(fd, payload)) {
-    *error = StrFormat("write: %s", std::strerror(errno));
-    ::close(fd);
+  const std::string response = Exchange(socket_path, header, payload, error);
+  if (!error->empty()) {
     return false;
   }
-  std::string reply;
-  const bool got = ReadLine(fd, &reply);
-  ::close(fd);
-  if (!got) {
+  const std::size_t nl = response.find('\n');
+  if (nl == std::string::npos) {
     *error = "no reply";
     return false;
   }
+  const std::string reply = response.substr(0, nl);
   std::vector<std::string_view> words;
   for (std::string_view w : Split(reply, ' ')) {
     if (!w.empty()) {

@@ -11,19 +11,20 @@
 //
 // The reply line for an upload always carries the assigned ingest ID, so a
 // simulated machine can later ask `INGEST <id>` and see its own capture ->
-// decode -> summary trail. Connections are handled on their own threads;
-// all real concurrency control lives in IngestService.
+// decode -> summary trail.
+//
+// One thread serves every connection from a poll() loop; each must finish
+// within 10 s of accept. Submit() runs on that thread, so with workers=0
+// the decode does too and other connections wait. All other concurrency
+// control lives in IngestService.
 
 #ifndef HWPROF_SRC_SERVICE_OPS_SOCKET_H_
 #define HWPROF_SRC_SERVICE_OPS_SOCKET_H_
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/service/ingest.h"
 
@@ -38,38 +39,32 @@ class OpsServer {
   OpsServer(const OpsServer&) = delete;
   OpsServer& operator=(const OpsServer&) = delete;
 
-  // Binds, listens and spawns the accept thread. False (with last_error set)
+  // Binds, listens and spawns the serving thread. False (with last_error set)
   // when the socket cannot be created — e.g. the path is too long for
   // sockaddr_un or is already bound.
   bool Start();
 
-  // Stops accepting, joins every handler, unlinks the socket. Idempotent.
+  // Stops the serving thread within 50 ms (plus any Submit() under way),
+  // closes open connections unanswered, unlinks the socket. Idempotent.
   void Stop();
 
   const std::string& socket_path() const { return socket_path_; }
   const std::string& last_error() const { return last_error_; }
 
  private:
-  void AcceptLoop();
-  void HandleConnection(int fd);
-  void ServeConnection(int fd);
+  void Serve();
 
   IngestService& service_;
   std::string socket_path_;
   std::string last_error_;
   int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
-  // Accepted fds still being served; Stop() shutdown()s them so handler
-  // threads blocked in read() return instead of hanging the join.
-  std::set<int> open_fds_;
   std::atomic<bool> stopping_{false};
+  std::thread thread_;
 };
 
-// Client side: connects to `socket_path`, sends one ops command line and
-// returns the full response (reads to EOF). Empty string + *error set on
-// connect/IO failure.
+// Client side: connects to `socket_path`, sends one ops command line,
+// half-closes and returns the full response (reads to EOF). Empty string +
+// *error set on connect/IO failure.
 std::string OpsQuery(const std::string& socket_path, const std::string& command,
                      std::string* error);
 

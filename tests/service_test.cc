@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -24,6 +28,7 @@
 
 #include "src/analysis/decoder.h"
 #include "src/analysis/summary.h"
+#include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/profhw/binary_trace.h"
 #include "src/service/ingest.h"
@@ -462,9 +467,9 @@ TEST(ServiceSocket, StopUnblocksSilentConnections) {
   OpsServer server(service, path);
   ASSERT_TRUE(server.Start()) << server.last_error();
 
-  // A client that connects and sends nothing must not pin its handler
-  // thread: Stop() shutdown()s the fd so the blocked read returns, well
-  // before the 10s receive timeout would.
+  // A client that connects and sends nothing must not hold up Stop(): the
+  // serving thread closes the connection and exits, well before the
+  // connection's 10 s deadline would.
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   ASSERT_LT(path.size(), sizeof(addr.sun_path));
@@ -474,7 +479,7 @@ TEST(ServiceSocket, StopUnblocksSilentConnections) {
   ASSERT_EQ(
       ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
       0);
-  // Give the accept loop a moment to hand the fd to a handler thread.
+  // Give the serving thread a moment to accept the connection.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -483,6 +488,329 @@ TEST(ServiceSocket, StopUnblocksSilentConnections) {
   EXPECT_LT(elapsed, std::chrono::seconds(5))
       << "Stop() must not wait out the connection read timeout";
   ::close(fd);
+  service.Stop();
+}
+
+// --- Hostile clients over the real socket -------------------------------------------
+
+using SteadyClock = std::chrono::steady_clock;
+
+// A raw client connected to `path`, for the clients OpsQuery and OpsUpload
+// never are: silent, slow, half-sent or lying ones. -1 on failure.
+int ConnectRaw(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) {
+    return -1;
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// False once the server has closed the connection (the send fails).
+bool SendRaw(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n <= 0) {
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+// What the server sends before it closes the connection (EOF or a reset).
+// *closed stays false if it has not closed within `timeout`.
+std::string ReadUntilClosed(int fd, std::chrono::milliseconds timeout, bool* closed) {
+  *closed = false;
+  std::string reply;
+  const SteadyClock::time_point deadline = SteadyClock::now() + timeout;
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - SteadyClock::now());
+    pollfd p{fd, POLLIN, 0};
+    if (left.count() <= 0 || ::poll(&p, 1, static_cast<int>(left.count())) <= 0) {
+      return reply;
+    }
+    char buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) {
+      *closed = true;
+      return reply;
+    }
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+}
+
+TEST(ServiceSocket, SilentClientDoesNotStallOthers) {
+  FrozenClock clock;
+  IngestService service(SoakNames(), SyncOptions(&clock));
+  const std::string path = ::testing::TempDir() + "/hwprofd_stall.sock";
+  std::remove(path.c_str());
+  OpsServer server(service, path);
+  ASSERT_TRUE(server.Start()) << server.last_error();
+
+  const int silent = ConnectRaw(path);
+  ASSERT_GE(silent, 0);
+  for (int i = 0; i < 300; ++i) {
+    std::string error;
+    const SteadyClock::time_point t0 = SteadyClock::now();
+    const std::string reply = OpsQuery(path, "HEALTH", &error);
+    const SteadyClock::duration elapsed = SteadyClock::now() - t0;
+    ASSERT_EQ(reply, "ready ok\nOK\n") << "query " << i << ": " << error;
+    ASSERT_LT(elapsed, std::chrono::seconds(1))
+        << "query " << i << " waited behind the silent client";
+  }
+  server.Stop();
+  ::close(silent);
+  service.Stop();
+}
+
+TEST(ServiceSocket, HostileClientsKeepAccountingExact) {
+  ServiceOptions options;
+  options.workers = 2;
+  options.max_upload_bytes = 100'000;
+  IngestService service(SoakNames(), options);
+  const std::string path = ::testing::TempDir() + "/hwprofd_hostile.sock";
+  std::remove(path.c_str());
+  OpsServer server(service, path);
+  ASSERT_TRUE(server.Start()) << server.last_error();
+
+  // Hostile clients, all held open at once.
+  const int short_fd = ConnectRaw(path);
+  const int long_fd = ConnectRaw(path);
+  const int gone_fd = ConnectRaw(path);
+  const int big_fd = ConnectRaw(path);
+  ASSERT_GE(short_fd, 0);
+  ASSERT_GE(long_fd, 0);
+  ASSERT_GE(gone_fd, 0);
+  ASSERT_GE(big_fd, 0);
+  // A header trickled one byte every 200 ms never completes, and the
+  // connection's absolute 10 s deadline closes it unanswered. No ASSERT
+  // may return before this thread is joined.
+  SteadyClock::duration trickle_elapsed{};
+  bool trickle_closed = false;
+  std::string trickle_reply;
+  std::thread trickler([&] {
+    const SteadyClock::time_point t0 = SteadyClock::now();
+    const int fd = ConnectRaw(path);
+    if (fd < 0) {
+      return;
+    }
+    const std::string header = "UPLOAD trickle " + std::string(100, '9');
+    for (const char byte : header) {
+      pollfd p{fd, POLLIN, 0};
+      if (!SendRaw(fd, std::string_view(&byte, 1)) || ::poll(&p, 1, 200) != 0) {
+        break;  // the server closed the connection
+      }
+    }
+    trickle_reply = ReadUntilClosed(fd, std::chrono::seconds(3), &trickle_closed);
+    trickle_elapsed = SteadyClock::now() - t0;
+    ::close(fd);
+  });
+
+  EXPECT_TRUE(SendRaw(short_fd, "UPLOAD short 1000\n" + std::string(10, 's')));
+  EXPECT_TRUE(SendRaw(long_fd, std::string(5000, 'L')));
+  EXPECT_TRUE(SendRaw(gone_fd, "UPLOAD gone 1000\n" + std::string(10, 'g')));
+  EXPECT_TRUE(SendRaw(big_fd, "UPLOAD big 200000\n" + std::string(50'000, 'b')));
+
+  // Meanwhile an honest upload and a query are served.
+  std::uint64_t ingest_id = 0;
+  std::string drop_reason;
+  std::string error;
+  EXPECT_TRUE(OpsUpload(path, "alpha", SynthTrace(7, 300).Serialize(), &ingest_id,
+                        &drop_reason, &error))
+      << error << " " << drop_reason;
+  const std::string health = OpsQuery(path, "HEALTH", &error);
+  EXPECT_TRUE(health.size() >= 4 && health.substr(health.size() - 4) == "\nOK\n")
+      << health << error;
+
+  bool closed = false;
+  // A request line over 4096 bytes is closed with no reply.
+  EXPECT_EQ(ReadUntilClosed(long_fd, std::chrono::seconds(2), &closed), "");
+  EXPECT_TRUE(closed);
+  // A payload cut short by the client's half-close is answered as such.
+  ::shutdown(short_fd, SHUT_WR);
+  EXPECT_EQ(ReadUntilClosed(short_fd, std::chrono::seconds(2), &closed),
+            "ERR short upload payload\n");
+  EXPECT_TRUE(closed);
+  // A client that vanishes mid-payload costs nothing but its connection.
+  ::close(gone_fd);
+  // An oversize header is answered from the header; its body is discarded.
+  EXPECT_TRUE(SendRaw(big_fd, std::string(150'000, 'b')));
+  ::shutdown(big_fd, SHUT_WR);
+  const std::string big_reply = ReadUntilClosed(big_fd, std::chrono::seconds(2), &closed);
+  EXPECT_EQ(big_reply.substr(0, 14), "DROP oversize ") << big_reply;
+  EXPECT_TRUE(closed);
+  for (const int fd : {short_fd, long_fd, big_fd}) {
+    ::close(fd);
+  }
+
+  trickler.join();
+  EXPECT_TRUE(trickle_closed);
+  EXPECT_EQ(trickle_reply, "");
+  EXPECT_GE(trickle_elapsed, std::chrono::seconds(9));
+  EXPECT_LT(trickle_elapsed, std::chrono::seconds(12));
+
+  service.WaitIdle();
+  const ServiceStats s = service.Stats();
+  EXPECT_EQ(s.offered, 2u);
+  EXPECT_EQ(s.accepted, 1u);
+  EXPECT_EQ(s.dropped[static_cast<std::size_t>(DropReason::kOversize)], 1u);
+  EXPECT_EQ(s.offered, s.accepted + s.DroppedTotal());
+  EXPECT_EQ(s.offered_bytes, s.accepted_bytes + s.dropped_bytes);
+
+  // Stop() returns promptly with a silent and a half-sent client still open.
+  const int silent = ConnectRaw(path);
+  const int partial = ConnectRaw(path);
+  ASSERT_GE(silent, 0);
+  ASSERT_GE(partial, 0);
+  EXPECT_TRUE(SendRaw(partial, "UPLOAD partial 1000\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const SteadyClock::time_point t0 = SteadyClock::now();
+  server.Stop();
+  EXPECT_LT(SteadyClock::now() - t0, std::chrono::seconds(1));
+  ::close(silent);
+  ::close(partial);
+  service.Stop();
+}
+
+TEST(ServiceSocket, SeededFramingFuzz) {
+  FrozenClock clock;
+  IngestService service(SoakNames(), SyncOptions(&clock));  // cap = 100'000
+  const std::string path = ::testing::TempDir() + "/hwprofd_fuzz.sock";
+  std::remove(path.c_str());
+  OpsServer server(service, path);
+  ASSERT_TRUE(server.Start()) << server.last_error();
+
+  const std::string text = SynthTrace(8, 200).Serialize();
+  const std::string binary = EncodeCaptureBinary(SynthTrace(9, 200));
+  const std::vector<std::string> valid = {
+      StrFormat("UPLOAD alpha %zu\n", text.size()) + text,
+      StrFormat("UPLOAD beta %zu\n", binary.size()) + binary,
+      "STATUS\n",
+      "HEALTH\n",
+      "TENANTS\n",
+      "METRICS 60\n",
+      "EVENTS 5\n",
+      "INGEST 1\n"};
+  Rng rng(18);
+  for (int i = 0; i < 200; ++i) {
+    std::string request = valid[rng.NextBelow(valid.size())];
+    switch (rng.NextBelow(4)) {
+      case 0:  // bit flips
+        for (std::uint64_t k = 1 + rng.NextBelow(8); k > 0; --k) {
+          request[rng.NextBelow(request.size())] ^=
+              static_cast<char>(1u << rng.NextBelow(8));
+        }
+        break;
+      case 1:  // truncation
+        request.resize(rng.NextBelow(request.size() + 1));
+        break;
+      case 2: {  // splice of two requests
+        const std::string& other = valid[rng.NextBelow(valid.size())];
+        request = request.substr(0, rng.NextBelow(request.size() + 1)) +
+                  other.substr(rng.NextBelow(other.size() + 1));
+        break;
+      }
+      default: {  // a lying <nbytes>
+        const std::string& body = rng.NextBool(0.5) ? text : binary;
+        const std::uint64_t lies[] = {0,
+                                      body.size() - 1 - rng.NextBelow(64),
+                                      body.size() + 1 + rng.NextBelow(4096),
+                                      rng.Next(),
+                                      99'999'999'999'999'999ull};
+        request = StrFormat("UPLOAD liar %llu\n",
+                            static_cast<unsigned long long>(lies[rng.NextBelow(5)])) +
+                  body;
+        break;
+      }
+    }
+    const int fd = ConnectRaw(path);
+    ASSERT_GE(fd, 0) << "request " << i;
+    const SteadyClock::time_point t0 = SteadyClock::now();
+    SendRaw(fd, request);  // fails harmlessly if the server has already closed
+    ::shutdown(fd, SHUT_WR);
+    bool closed = false;
+    const std::string reply = ReadUntilClosed(fd, std::chrono::seconds(12), &closed);
+    ::close(fd);
+    ASSERT_TRUE(closed) << "request " << i << " was neither answered nor closed";
+    EXPECT_LT(SteadyClock::now() - t0, std::chrono::seconds(11)) << "request " << i;
+    EXPECT_TRUE(reply.empty() || reply.back() == '\n') << "request " << i << ": " << reply;
+  }
+
+  std::string error;
+  const std::string health = OpsQuery(path, "HEALTH", &error);
+  ASSERT_GE(health.size(), 4u) << error;
+  EXPECT_EQ(health.substr(health.size() - 4), "\nOK\n") << health;
+  const ServiceStats s = service.Stats();
+  EXPECT_GT(s.offered, 0u);
+  EXPECT_EQ(s.offered, s.accepted + s.DroppedTotal());
+  EXPECT_EQ(s.offered_bytes, s.accepted_bytes + s.dropped_bytes);
+  EXPECT_EQ(s.accepted, s.summaries + s.malformed);
+  server.Stop();
+  service.Stop();
+}
+
+TEST(ServiceSocket, OutOfDescriptorsPausesAcceptInsteadOfSpinning) {
+  FrozenClock clock;
+  IngestService service(SoakNames(), SyncOptions(&clock));
+  const std::string path = ::testing::TempDir() + "/hwprofd_emfile.sock";
+  std::remove(path.c_str());
+  OpsServer server(service, path);
+  ASSERT_TRUE(server.Start()) << server.last_error();
+
+  const int first = ConnectRaw(path);
+  ASSERT_GE(first, 0);
+  const int second = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(second, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // `first` accepted
+
+  // Lower the descriptor limit to the lowest free descriptor number, so the
+  // server's next accept() fails with EMFILE; restore it however the test ends.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  struct RestoreLimit {
+    rlimit saved;
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+  } restore{saved};
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::connect(second, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+
+  // The listener stays readable while accept() fails; a server that keeps
+  // polling it burns a CPU. Measure the process's CPU time over 500 ms.
+  timespec cpu0{};
+  timespec cpu1{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu1);
+  const double cpu_ms = (cpu1.tv_sec - cpu0.tv_sec) * 1e3 + (cpu1.tv_nsec - cpu0.tv_nsec) / 1e6;
+  EXPECT_LT(cpu_ms, 150.0) << "the server spins while out of descriptors";
+
+  // Closing a connection frees a descriptor, and the waiting client is served.
+  ::close(first);
+  EXPECT_TRUE(SendRaw(second, "HEALTH\n"));
+  ::shutdown(second, SHUT_WR);
+  bool closed = false;
+  EXPECT_EQ(ReadUntilClosed(second, std::chrono::seconds(5), &closed), "ready ok\nOK\n");
+  EXPECT_TRUE(closed);
+  ::close(second);
+  server.Stop();
   service.Stop();
 }
 

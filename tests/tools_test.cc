@@ -13,6 +13,7 @@
 #include "src/workloads/workloads.h"
 #include "tools/analyze_main.h"
 #include "tools/capture_main.h"
+#include "tools/hwprofd_main.h"
 
 namespace hwprof {
 namespace {
@@ -517,6 +518,38 @@ TEST(CaptureCli, OptimizationConfigChangesTheCapture) {
   ASSERT_FALSE(off_bytes.empty());
   ASSERT_FALSE(on_bytes.empty());
   EXPECT_NE(on_bytes, off_bytes);
+}
+
+// --- The hwprofd CLI's numeric flags ------------------------------------------------
+
+int RunHwprofd(std::initializer_list<const char*> args, std::string* error) {
+  std::vector<const char*> argv{"hwprofd"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  ::testing::internal::CaptureStdout();
+  const int rc = HwprofdMain(static_cast<int>(argv.size()), argv.data(), error);
+  ::testing::internal::GetCapturedStdout();
+  return rc;
+}
+
+TEST(HwprofdCli, NumericFlagsRejectValuesTheirFieldCannotHold) {
+  // Each value is 2^32 + k, so a build that truncates it runs with k:
+  // 0 workers, 0 uploaders or 2 events, all quick and harmless.
+  const std::string names = std::string(HWPROF_TEST_DIR) + "/golden/net_receive.names";
+  const std::string socket = ::testing::TempDir() + "/hwprofd_flags.sock";
+  std::string error;
+  EXPECT_EQ(RunHwprofd({"serve", names.c_str(), "--socket", socket.c_str(), "--duration-s", "1",
+                        "--workers", "4294967296"},
+                       &error),
+            1);
+  EXPECT_NE(error.find("--workers must be at most 4294967295"), std::string::npos) << error;
+
+  EXPECT_EQ(RunHwprofd({"soak", "--uploaders", "4294967296"}, &error), 1);
+  EXPECT_NE(error.find("--uploaders must be at most 4294967295"), std::string::npos) << error;
+
+  EXPECT_EQ(RunHwprofd({"soak", "--uploaders", "1", "--uploads", "1", "--events", "4294967298"},
+                       &error),
+            1);
+  EXPECT_NE(error.find("--events must be at most 2147483647"), std::string::npos) << error;
 }
 
 }  // namespace

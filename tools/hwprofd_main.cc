@@ -3,6 +3,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,12 +36,23 @@ bool ReadFileToString(const std::string& path, std::string* out) {
   return true;
 }
 
-bool ParseSizeFlag(const char* what, const char* value, std::uint64_t* out,
+// Parses a flag's value into *out, rejecting a value *out cannot hold
+// instead of truncating it.
+template <typename T>
+bool ParseSizeFlag(const char* what, const char* value, T* out,
                    std::string* error) {
-  if (value == nullptr || !ParseUint(value, out)) {
+  std::uint64_t v = 0;
+  if (value == nullptr || !ParseUint(value, &v)) {
     *error = StrFormat("%s needs a non-negative integer", what);
     return false;
   }
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  if (v > max) {
+    *error = StrFormat("%s must be at most %llu", what,
+                       static_cast<unsigned long long>(max));
+    return false;
+  }
+  *out = static_cast<T>(v);
   return true;
 }
 
@@ -69,13 +81,11 @@ int ServeMode(int argc, const char* const* argv, std::string* error) {
   for (int i = 3; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
-    std::uint64_t v = 0;
     if (arg == "--socket" && next != nullptr) {
       socket_path = next;
       ++i;
     } else if (arg == "--workers") {
-      if (!ParseSizeFlag("--workers", next, &v, error)) return 1;
-      options.workers = static_cast<unsigned>(v);
+      if (!ParseSizeFlag("--workers", next, &options.workers, error)) return 1;
       ++i;
     } else if (arg == "--tick-ms") {
       if (!ParseSizeFlag("--tick-ms", next, &tick_ms, error)) return 1;
@@ -84,24 +94,19 @@ int ServeMode(int argc, const char* const* argv, std::string* error) {
       if (!ParseSizeFlag("--duration-s", next, &duration_s, error)) return 1;
       ++i;
     } else if (arg == "--max-upload-bytes") {
-      if (!ParseSizeFlag("--max-upload-bytes", next, &v, error)) return 1;
-      options.max_upload_bytes = static_cast<std::size_t>(v);
+      if (!ParseSizeFlag("--max-upload-bytes", next, &options.max_upload_bytes, error)) return 1;
       ++i;
     } else if (arg == "--queue-depth") {
-      if (!ParseSizeFlag("--queue-depth", next, &v, error)) return 1;
-      options.queue_max_depth = static_cast<std::size_t>(v);
+      if (!ParseSizeFlag("--queue-depth", next, &options.queue_max_depth, error)) return 1;
       ++i;
     } else if (arg == "--queue-bytes") {
-      if (!ParseSizeFlag("--queue-bytes", next, &v, error)) return 1;
-      options.queue_max_bytes = static_cast<std::size_t>(v);
+      if (!ParseSizeFlag("--queue-bytes", next, &options.queue_max_bytes, error)) return 1;
       ++i;
     } else if (arg == "--cache") {
-      if (!ParseSizeFlag("--cache", next, &v, error)) return 1;
-      options.cache_capacity = static_cast<std::size_t>(v);
+      if (!ParseSizeFlag("--cache", next, &options.cache_capacity, error)) return 1;
       ++i;
     } else if (arg == "--rows") {
-      if (!ParseSizeFlag("--rows", next, &v, error)) return 1;
-      options.summary_rows = static_cast<std::size_t>(v);
+      if (!ParseSizeFlag("--rows", next, &options.summary_rows, error)) return 1;
       ++i;
     } else {
       *error = StrFormat("unknown serve option: %s", argv[i]);
@@ -239,34 +244,26 @@ int SoakMode(int argc, const char* const* argv, std::string* error) {
   for (int i = 2; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
-    std::uint64_t v = 0;
     if (arg == "--uploaders") {
-      if (!ParseSizeFlag("--uploaders", next, &v, error)) return 1;
-      options.uploaders = static_cast<unsigned>(v);
+      if (!ParseSizeFlag("--uploaders", next, &options.uploaders, error)) return 1;
       ++i;
     } else if (arg == "--uploads") {
-      if (!ParseSizeFlag("--uploads", next, &v, error)) return 1;
-      options.uploads_per_uploader = static_cast<unsigned>(v);
+      if (!ParseSizeFlag("--uploads", next, &options.uploads_per_uploader, error)) return 1;
       ++i;
     } else if (arg == "--tenants") {
-      if (!ParseSizeFlag("--tenants", next, &v, error)) return 1;
-      options.tenants = static_cast<unsigned>(v);
+      if (!ParseSizeFlag("--tenants", next, &options.tenants, error)) return 1;
       ++i;
     } else if (arg == "--distinct") {
-      if (!ParseSizeFlag("--distinct", next, &v, error)) return 1;
-      options.distinct_captures = static_cast<unsigned>(v);
+      if (!ParseSizeFlag("--distinct", next, &options.distinct_captures, error)) return 1;
       ++i;
     } else if (arg == "--events") {
-      if (!ParseSizeFlag("--events", next, &v, error)) return 1;
-      options.events_per_capture = static_cast<int>(v);
+      if (!ParseSizeFlag("--events", next, &options.events_per_capture, error)) return 1;
       ++i;
     } else if (arg == "--seed") {
-      if (!ParseSizeFlag("--seed", next, &v, error)) return 1;
-      options.seed = v;
+      if (!ParseSizeFlag("--seed", next, &options.seed, error)) return 1;
       ++i;
     } else if (arg == "--workers") {
-      if (!ParseSizeFlag("--workers", next, &v, error)) return 1;
-      options.service.workers = static_cast<unsigned>(v);
+      if (!ParseSizeFlag("--workers", next, &options.service.workers, error)) return 1;
       ++i;
     } else if (arg == "--metrics-out" && next != nullptr) {
       metrics_out = next;
