@@ -13,7 +13,7 @@ CallGraph::CallGraph(const DecodedTrace& trace) {
 }
 
 void CallGraph::Walk(const CallNode& node, const std::string& caller) {
-  for (const auto& child : node.children) {
+  for (const auto& child : node.Children()) {
     if (child->fn == nullptr || child->inline_marker) {
       continue;
     }

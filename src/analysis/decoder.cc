@@ -74,25 +74,41 @@ struct ShardSnapshot {
   std::vector<std::pair<int, std::vector<ChainFrame>>> chains;
 };
 
-struct PlaceholderRef {
-  int stack = 0;
-  std::uint32_t node = 0;
-  CallNode* ptr = nullptr;
+// A call open at a merged cut, by global id: the totals it has gathered
+// so far and, in retain mode, its node.
+struct OpenCall {
+  const TagEntry* fn = nullptr;
+  Nanoseconds net = 0;
+  Nanoseconds elapsed = 0;
+  CallNode* node = nullptr;
+};
+
+// What a shard gathered for a call that was open at its start.
+struct CarriedTotals {
+  std::uint32_t id = 0;
+  Nanoseconds net = 0;
+  Nanoseconds elapsed = 0;
+  bool closed = false;  // the shard closed it, at exit_time
+  bool forced = false;
+  Nanoseconds exit_time = 0;
 };
 
 // What one shard replay hands the merge.
 struct ShardResult {
-  // Per stack touched: a synthetic local root; its children are the
-  // placeholder chain head (if any) followed by new top-level calls.
-  std::map<int, std::unique_ptr<CallNode>> roots;
-  std::vector<PlaceholderRef> placeholders;
-  // Nodes opened in this shard and still open at its end (the next shard
-  // sees them as placeholders); merge registers them by id.
-  std::vector<std::pair<std::uint32_t, CallNode*>> open_at_end;
+  // Every node this shard opened (retain mode): merge moves the block into
+  // the trace's arena, so the nodes never move.
+  std::vector<CallNode> block;
+  // Nodes whose parent lies outside the shard, in op order: top-level calls
+  // by stack id, and calls opened directly under a carried call by its id.
+  std::vector<std::pair<int, CallNode*>> top_level;
+  std::vector<std::pair<std::uint32_t, CallNode*>> orphans;
+  std::vector<CarriedTotals> carried;
+  // Calls opened in this shard and still open at its end.
+  std::vector<std::pair<std::uint32_t, OpenCall>> open_at_end;
   std::vector<TraceStep> steps;
-  // Indices of steps whose node is a placeholder (a close of a call opened
-  // in an earlier shard); only these need pointer remapping at merge.
-  std::vector<std::size_t> ph_steps;
+  // Steps that close a carried call (index, id): merge points them at its
+  // node.
+  std::vector<std::pair<std::size_t, std::uint32_t>> carried_steps;
   std::map<std::string, FuncStats> per_function;
   Nanoseconds idle = 0;
 };
@@ -109,10 +125,9 @@ struct SealedShard {
 
 // Folds one completed call into a per-function stats map. Sums and min/max
 // commute, so the fold order never shows in the result.
-void FoldNode(const CallNode& n, std::map<std::string, FuncStats>* pf,
-              Nanoseconds* idle) {
-  FuncStats& s = (*pf)[n.fn->name];
-  const Nanoseconds net = n.Net();
+void FoldCall(const TagEntry* fn, Nanoseconds net, Nanoseconds elapsed,
+              std::map<std::string, FuncStats>* pf, Nanoseconds* idle) {
+  FuncStats& s = (*pf)[fn->name];
   if (s.calls == 0) {
     s.min_net = net;
     s.max_net = net;
@@ -121,9 +136,9 @@ void FoldNode(const CallNode& n, std::map<std::string, FuncStats>* pf,
     s.max_net = std::max(s.max_net, net);
   }
   ++s.calls;
-  s.elapsed += n.Elapsed();
+  s.elapsed += elapsed;
   s.net += net;
-  if (n.fn->kind == TagKind::kContextSwitch) {
+  if (fn->kind == TagKind::kContextSwitch) {
     s.context_switch = true;
     *idle += net;
   }
@@ -156,106 +171,115 @@ ThreadPool& ReplayPool() {
   return *pool;
 }
 
-// Removes `node` from its parent's children, freeing its subtree.
-void Unlink(CallNode* node) {
-  auto& kids = node->parent->children;
-  auto it = std::find_if(kids.rbegin(), kids.rend(),
-                         [node](const auto& kid) { return kid.get() == node; });
-  HWPROF_CHECK(it != kids.rend());
-  kids.erase(std::next(it).base());
+// Appends `child` to `parent`'s children.
+void Adopt(CallNode* parent, CallNode* child) {
+  child->parent = parent;
+  if (parent->last_child == nullptr) {
+    parent->first_child = child;
+  } else {
+    parent->last_child->next_sibling = child;
+  }
+  parent->last_child = child;
+}
+
+// Closes `node` with its final totals.
+void CloseNode(CallNode* node, Nanoseconds t, bool forced, Nanoseconds net,
+               Nanoseconds elapsed) {
+  node->exit_time = t;
+  node->closed = true;
+  node->forced_close = forced;
+  node->net = net;
+  node->elapsed = elapsed;
 }
 
 // --- Shard replay ------------------------------------------------------------
-// All the per-event heavy lifting lives here: node allocation, O(depth)
-// interval attribution, step emission, stats folds. Runs inline or on a
-// pool worker; it touches nothing but its task and its result.
+// All the per-event work lives here: frame pushes and pops, interval
+// attribution, stats folds and, in retain mode, nodes and steps. Every op
+// costs O(1). Runs inline or on a pool worker; it touches nothing but its
+// task and its result.
+
+// A call open on a replay stack. Frames carried in from the shard's
+// snapshot (`own` false) hold only the call's global id: its node, if any,
+// belongs to the shard that opened it, and the merge finds it by id.
+struct Frame {
+  const TagEntry* fn = nullptr;
+  std::uint32_t id = 0;
+  bool own = false;
+  Nanoseconds clock_open = 0;     // the stack's clock at open (0 if carried)
+  Nanoseconds child_elapsed = 0;  // direct children's elapsed, this shard
+  CallNode* node = nullptr;       // own frames in retain mode only
+};
 
 struct LocalStack {
-  CallNode* root = nullptr;  // owned by result->roots
-  std::vector<CallNode*> chain;
-  std::vector<std::uint32_t> chain_ids;
-  std::vector<bool> chain_own;  // frame opened in this shard?
+  // On-CPU clock: advances by every interval charged while this stack is
+  // current and has an open frame. A call's elapsed time in the shard is
+  // the clock at its close minus its clock_open.
+  Nanoseconds clock = 0;
+  std::vector<Frame> frames;
 };
 
 void ReplayShard(const ShardTask& task, bool retain, ShardResult* out) {
   OBS_SCOPED_SPAN("parallel.shard_replay");
-  std::unordered_map<int, LocalStack> stacks;
-  auto stack_for = [&](int sid) -> LocalStack& {
-    auto it = stacks.find(sid);
-    if (it != stacks.end()) {
-      return it->second;
-    }
-    LocalStack ls;
-    auto root = std::make_unique<CallNode>();
-    ls.root = root.get();
-    out->roots.emplace(sid, std::move(root));
-    // Replicate the open chain as placeholder nodes so depths, step targets
-    // and attribution all line up; the merge grafts their contents onto the
-    // real nodes from the owning shards.
-    for (const auto& [chain_sid, chain] : task.snap.chains) {
-      if (chain_sid != sid) {
-        continue;
-      }
-      CallNode* parent = ls.root;
-      for (const ChainFrame& frame : chain) {
-        auto ph = std::make_unique<CallNode>();
-        ph->fn = frame.fn;
-        ph->parent = parent;
-        CallNode* raw = ph.get();
-        parent->children.push_back(std::move(ph));
-        out->placeholders.push_back(PlaceholderRef{sid, frame.node, raw});
-        ls.chain.push_back(raw);
-        ls.chain_ids.push_back(frame.node);
-        ls.chain_own.push_back(false);
-        parent = raw;
-      }
-      break;
-    }
-    return stacks.emplace(sid, std::move(ls)).first->second;
-  };
-
   if (retain) {
+    // Each open or inline-marker op opens at most one node.
+    out->block.reserve(static_cast<std::size_t>(
+        std::count_if(task.ops.begin(), task.ops.end(), [](const ShardOp& op) {
+          return op.kind == OpKind::kOpen || op.kind == OpKind::kOpenInline;
+        })));
     out->steps.reserve(task.ops.size());
   }
+  std::unordered_map<int, LocalStack> stacks;
+  auto stack_for = [&](int sid) -> LocalStack& {
+    auto [it, inserted] = stacks.try_emplace(sid);
+    if (inserted) {
+      for (const auto& [chain_sid, chain] : task.snap.chains) {
+        if (chain_sid == sid) {
+          it->second.frames.reserve(chain.size());
+          for (const ChainFrame& frame : chain) {
+            it->second.frames.push_back(Frame{.fn = frame.fn, .id = frame.node});
+          }
+          break;
+        }
+      }
+    }
+    return it->second;
+  };
+
   int cur_sid = task.snap.current;
   LocalStack* cur = &stack_for(cur_sid);
   Nanoseconds last_t = task.snap.last_time;
-  // Interval attribution: net to the innermost open call of the running
-  // context, elapsed to every open call on its stack. Time with no open
-  // call (user mode / unprofiled code) is left unattributed.
+  // Interval attribution: the running context's clock advances while it
+  // has an open call. Time with no open call (user mode / unprofiled code)
+  // is left unattributed.
   auto charge = [&](Nanoseconds t) {
-    const Nanoseconds interval = t - last_t;
+    if (!cur->frames.empty()) {
+      cur->clock += t - last_t;
+    }
     last_t = t;
-    if (interval == 0 || cur->chain.empty()) {
-      return;
-    }
-    cur->chain.back()->net_acc += interval;
-    for (CallNode* n : cur->chain) {
-      n->elapsed_acc += interval;
-    }
   };
+  // Retain mode: a node under `cur`'s innermost frame, and its step.
   auto open = [&](const ShardOp& op, bool inline_marker) {
-    LocalStack& ls = *cur;
-    auto node = std::make_unique<CallNode>();
+    CallNode* node = &out->block.emplace_back();
     node->fn = op.fn;
     node->entry_time = op.t;
     node->exit_time = op.t;
     node->inline_marker = inline_marker;
     node->closed = inline_marker;
-    CallNode* parent = ls.chain.empty() ? ls.root : ls.chain.back();
-    node->parent = parent;
-    CallNode* raw = node.get();
-    parent->children.push_back(std::move(node));
-    if (retain) {
-      TraceStep step;
-      step.t = op.t;
-      step.node = raw;
-      step.is_exit = false;
-      step.depth = static_cast<int>(ls.chain.size());
-      step.stack_id = op.stack;
-      out->steps.push_back(step);
+    if (cur->frames.empty()) {
+      out->top_level.emplace_back(cur_sid, node);
+    } else if (cur->frames.back().own) {
+      Adopt(cur->frames.back().node, node);
+    } else {
+      out->orphans.emplace_back(cur->frames.back().id, node);
     }
-    return raw;
+    TraceStep step;
+    step.t = op.t;
+    step.node = node;
+    step.is_exit = false;
+    step.depth = static_cast<int>(cur->frames.size());
+    step.stack_id = cur_sid;
+    out->steps.push_back(step);
+    return node;
   };
 
   // Opens, inline markers and advances always target the current stack (the
@@ -263,7 +287,7 @@ void ReplayShard(const ShardTask& task, bool retain, ShardResult* out) {
   // doing a map lookup per op. Closes usually do too, but a `swtch` exit
   // closes the idle window of the stack that blocked, which a suspended-
   // stack resume may have made non-current; truncation closes may name any
-  // stack.
+  // stack. Either way a close reads its own stack's clock.
   for (const ShardOp& op : task.ops) {
     if (op.kind != OpKind::kFinishClose) {
       charge(op.t);
@@ -275,13 +299,13 @@ void ReplayShard(const ShardTask& task, bool retain, ShardResult* out) {
         break;
       case OpKind::kAdvance:
         break;
-      case OpKind::kOpen: {
-        CallNode* raw = open(op, /*inline_marker=*/false);
-        cur->chain.push_back(raw);
-        cur->chain_ids.push_back(op.node);
-        cur->chain_own.push_back(true);
+      case OpKind::kOpen:
+        cur->frames.push_back(Frame{.fn = op.fn,
+                                    .id = op.node,
+                                    .own = true,
+                                    .clock_open = cur->clock,
+                                    .node = retain ? open(op, false) : nullptr});
         break;
-      }
       case OpKind::kOpenInline:
         // Markers carry no stats; fold mode never builds them.
         if (retain) {
@@ -291,49 +315,57 @@ void ReplayShard(const ShardTask& task, bool retain, ShardResult* out) {
       case OpKind::kClose:
       case OpKind::kFinishClose: {
         LocalStack& ls = op.stack == cur_sid ? *cur : stack_for(op.stack);
-        HWPROF_CHECK(!ls.chain.empty());
-        CallNode* n = ls.chain.back();
-        n->exit_time = op.t;
-        n->closed = true;
-        n->forced_close =
+        HWPROF_CHECK(!ls.frames.empty());
+        const Frame frame = ls.frames.back();
+        ls.frames.pop_back();
+        const Nanoseconds elapsed = ls.clock - frame.clock_open;
+        const Nanoseconds net = elapsed - frame.child_elapsed;
+        if (!ls.frames.empty()) {
+          ls.frames.back().child_elapsed += elapsed;
+        }
+        const bool forced =
             op.kind == OpKind::kFinishClose || (op.flags & kOpForced) != 0;
-        const bool own = ls.chain_own.back();
+        if (frame.own) {
+          FoldCall(frame.fn, net, elapsed, &out->per_function, &out->idle);
+          if (frame.node != nullptr) {
+            CloseNode(frame.node, op.t, forced, net, elapsed);
+          }
+        } else {
+          out->carried.push_back(CarriedTotals{frame.id, net, elapsed, true, forced, op.t});
+        }
         if (retain && op.kind == OpKind::kClose) {
           TraceStep step;
           step.t = op.t;
-          step.node = n;
+          step.node = frame.node;
           step.is_exit = true;
-          step.depth = static_cast<int>(ls.chain.size()) - 1;
+          step.depth = static_cast<int>(ls.frames.size());
           step.stack_id = op.stack;
           step.context_switch_in = (op.flags & kOpCtxSwitchIn) != 0;
-          if (!own) {
-            out->ph_steps.push_back(out->steps.size());
+          if (!frame.own) {
+            out->carried_steps.emplace_back(out->steps.size(), frame.id);
           }
           out->steps.push_back(step);
-        }
-        ls.chain.pop_back();
-        ls.chain_ids.pop_back();
-        ls.chain_own.pop_back();
-        if (own) {
-          // Closed nodes never accumulate further time: fold now.
-          FoldNode(*n, &out->per_function, &out->idle);
-          if (!retain) {
-            // Everything n's parent gained since n opened is closed and
-            // already freed, so n is its last child.
-            HWPROF_CHECK(n->parent->children.back().get() == n);
-            n->parent->children.pop_back();
-          }
         }
         break;
       }
     }
   }
 
+  // Calls still open hand in their partial totals, innermost first, the
+  // same way a close does.
   for (auto& [sid, ls] : stacks) {
     (void)sid;
-    for (std::size_t i = 0; i < ls.chain.size(); ++i) {
-      if (ls.chain_own[i]) {
-        out->open_at_end.emplace_back(ls.chain_ids[i], ls.chain[i]);
+    for (std::size_t i = ls.frames.size(); i-- > 0;) {
+      const Frame& frame = ls.frames[i];
+      const Nanoseconds elapsed = ls.clock - frame.clock_open;
+      const Nanoseconds net = elapsed - frame.child_elapsed;
+      if (i > 0) {
+        ls.frames[i - 1].child_elapsed += elapsed;
+      }
+      if (frame.own) {
+        out->open_at_end.emplace_back(frame.id, OpenCall{frame.fn, net, elapsed, frame.node});
+      } else if (elapsed != 0) {
+        out->carried.push_back(CarriedTotals{frame.id, net, elapsed});
       }
     }
   }
@@ -454,9 +486,9 @@ class DecodeEngine {
     snap.idle_time = out_.idle_time;
     snap.per_function = out_.per_function;
     // Calls still open count with the time they have accumulated to date.
-    for (const auto& [id, node] : open_nodes_) {
+    for (const auto& [id, call] : open_nodes_) {
       (void)id;
-      FoldNode(*node, &snap.per_function, &snap.idle_time);
+      FoldCall(call.fn, call.net, call.elapsed, &snap.per_function, &snap.idle_time);
     }
     return snap;
   }
@@ -913,59 +945,39 @@ class DecodeEngine {
   }
 
   void MergeShard(ShardResult& r) {
-    // Placeholder -> the real node, registered by the shard that opened it.
-    std::unordered_map<const CallNode*, CallNode*> remap;
-    for (const PlaceholderRef& ph : r.placeholders) {
-      remap.emplace(ph.ptr, open_nodes_.at(ph.node));
+    for (const auto& [sid, node] : r.top_level) {
+      Adopt(out_.stacks[static_cast<std::size_t>(sid)]->root.get(), node);
     }
-    auto graft = [&remap](CallNode* from, CallNode* to) {
-      for (auto& child : from->children) {
-        if (remap.count(child.get()) != 0) {
-          continue;  // nested placeholders stay where they are
+    // Calls opened under a carried call follow the children it gained in
+    // earlier shards.
+    for (const auto& [id, node] : r.orphans) {
+      Adopt(open_nodes_.at(id).node, node);
+    }
+    for (const auto& [index, id] : r.carried_steps) {
+      r.steps[index].node = open_nodes_.at(id).node;
+    }
+    for (const CarriedTotals& part : r.carried) {
+      auto it = open_nodes_.find(part.id);
+      HWPROF_CHECK(it != open_nodes_.end());
+      OpenCall& call = it->second;
+      call.net += part.net;
+      call.elapsed += part.elapsed;
+      if (part.closed) {
+        if (call.node != nullptr) {
+          CloseNode(call.node, part.exit_time, part.forced, call.net, call.elapsed);
         }
-        child->parent = to;
-        to->children.push_back(std::move(child));
+        FoldCall(call.fn, call.net, call.elapsed, &out_.per_function, &out_.idle_time);
+        open_nodes_.erase(it);
       }
-    };
-    // Calls an earlier shard opened and this one closed.
-    std::vector<CallNode*> closed;
-    for (const PlaceholderRef& ph : r.placeholders) {
-      CallNode* real = remap.at(ph.ptr);
-      real->net_acc += ph.ptr->net_acc;
-      real->elapsed_acc += ph.ptr->elapsed_acc;
-      if (ph.ptr->closed) {
-        real->exit_time = ph.ptr->exit_time;
-        real->closed = true;
-        real->forced_close = ph.ptr->forced_close;
-        open_nodes_.erase(ph.node);
-        closed.push_back(real);
-      }
-      graft(ph.ptr, real);
     }
-    for (auto& [sid, root] : r.roots) {
-      graft(root.get(), out_.stacks[static_cast<std::size_t>(sid)]->root.get());
-    }
-    for (const auto& [id, ptr] : r.open_at_end) {
-      open_nodes_.emplace(id, ptr);
-    }
-    // Only placeholder-close steps can reference a node owned by an earlier
-    // shard; every other step's node pointer is already final (children hold
-    // unique_ptrs, so grafting subtrees never moves the nodes themselves).
-    for (const std::size_t idx : r.ph_steps) {
-      r.steps[idx].node = remap.at(r.steps[idx].node);
+    for (const auto& [id, call] : r.open_at_end) {
+      open_nodes_.emplace(id, call);
     }
     out_.steps.insert(out_.steps.end(), r.steps.begin(), r.steps.end());
     CombineStats(r.per_function, &out_.per_function);
     out_.idle_time += r.idle;
-    // Cross-shard calls: their accumulators are complete now, fold each once.
-    for (CallNode* real : closed) {
-      FoldNode(*real, &out_.per_function, &out_.idle_time);
-    }
-    if (!opts_.retain_structure) {
-      // Innermost first, so no parent is freed before its children.
-      for (auto it = closed.rbegin(); it != closed.rend(); ++it) {
-        Unlink(*it);
-      }
+    if (!r.block.empty()) {
+      out_.arena.push_back(std::move(r.block));
     }
   }
 
@@ -1003,7 +1015,7 @@ class DecodeEngine {
   std::vector<std::future<void>> replays_;  // pooled replays not yet merged
   std::deque<std::unique_ptr<ShardResult>> results_;  // sealed, not merged
   // Merged calls still open at the last merged cut, by global id.
-  std::unordered_map<std::uint32_t, CallNode*> open_nodes_;
+  std::unordered_map<std::uint32_t, OpenCall> open_nodes_;
 };
 
 StreamingDecoder::StreamingDecoder(const TagFile& names, unsigned timer_bits,

@@ -35,6 +35,10 @@
 
 namespace hwprof {
 
+// One call (or inline marker) in a decoded call tree. Nodes live in their
+// DecodedTrace's arena and link to each other intrusively: a node owns
+// nothing, so a tree of any depth is freed a block at a time, never by
+// recursion.
 struct CallNode {
   const TagEntry* fn = nullptr;  // null only for synthetic stack roots
   Nanoseconds entry_time = 0;
@@ -43,22 +47,48 @@ struct CallNode {
   bool forced_close = false;  // closed by truncation/mismatch recovery
   bool inline_marker = false;
   CallNode* parent = nullptr;
-  std::vector<std::unique_ptr<CallNode>> children;
+  CallNode* first_child = nullptr;  // children in call order
+  CallNode* last_child = nullptr;
+  CallNode* next_sibling = nullptr;
 
   // On-CPU interval accounting: time between consecutive events is charged
-  // to the running context's innermost open call (net) and to every open
-  // call on that context's stack (elapsed). A call whose process is
-  // switched out therefore accumulates nothing while off-CPU — the paper's
-  // per-activity-block rule (tsleep shows "25 us total" even though the
-  // process slept for milliseconds).
-  Nanoseconds net_acc = 0;
-  Nanoseconds elapsed_acc = 0;
+  // to the running context while it has an open call. A call's elapsed
+  // time is what its context was charged while the call was open; its net
+  // time is that minus its direct subroutines' elapsed time. A call whose
+  // process is switched out therefore accumulates nothing while off-CPU —
+  // the paper's per-activity-block rule (tsleep shows "25 us total" even
+  // though the process slept for milliseconds).
+  Nanoseconds net = 0;
+  Nanoseconds elapsed = 0;
 
-  Nanoseconds Elapsed() const { return elapsed_acc; }
-  Nanoseconds Net() const { return net_acc; }
+  Nanoseconds Elapsed() const { return elapsed; }
+  Nanoseconds Net() const { return net; }
   // Wall-clock span between the entry and exit events (includes off-CPU
   // time; used by reports that show call lifetimes).
   Nanoseconds WallSpan() const { return exit_time - entry_time; }
+
+  // `for (const CallNode* child : node.Children())` visits the children in
+  // call order.
+  class ChildIterator {
+   public:
+    explicit ChildIterator(const CallNode* node) : node_(node) {}
+    const CallNode* operator*() const { return node_; }
+    ChildIterator& operator++() {
+      node_ = node_->next_sibling;
+      return *this;
+    }
+    bool operator==(const ChildIterator&) const = default;
+
+   private:
+    const CallNode* node_;
+  };
+  struct ChildRange {
+    const CallNode* first;
+    ChildIterator begin() const { return ChildIterator(first); }
+    ChildIterator end() const { return ChildIterator(nullptr); }
+  };
+  ChildRange Children() const { return ChildRange{first_child}; }
+  bool HasChildren() const { return first_child != nullptr; }
 };
 
 // One process context discovered in the trace.
@@ -98,6 +128,11 @@ struct DecodedTrace {
 
   std::vector<std::unique_ptr<ActivityStack>> stacks;
   std::vector<TraceStep> steps;
+  // Storage for every CallNode under `stacks` except the roots: one block
+  // per retained shard, sized before replay and never grown, so node
+  // pointers (links, TraceStep::node) stay valid as the trace moves. Empty
+  // in fold mode.
+  std::vector<std::vector<CallNode>> arena;
   std::map<std::string, FuncStats> per_function;
 
   // Idle: accumulated net time of '!'-tagged (context switch) functions.
@@ -209,9 +244,9 @@ class Decoder {
 struct StreamingOptions {
   // Keep the full call trees and the chronological step list (what the
   // trace/callgraph/process reports need; batch Decode() sets this). When
-  // false, replay folds: every call is added to the per-function stats and
-  // freed as it closes, no steps or inline-marker nodes are built, and the
-  // finished trace carries empty stack trees. Memory is then bounded by
+  // false, replay folds: every call is added to the per-function stats as
+  // it closes, no node or step is built, and the finished trace carries
+  // empty stack trees and an empty arena. Memory is then bounded by
   // open-call depth plus the context-switch lookahead window.
   bool retain_structure = false;
   // Ops per shard before the planner looks for a context-switch boundary to
@@ -235,17 +270,21 @@ class DecodeEngine;
 //     needs lookahead wait in a pending window until enough of the future
 //     has arrived to decide exactly as a one-shot pass would.
 //  2. Shard replay cuts the script at context-switch boundaries and does
-//     the per-event work: call-node allocation, interval attribution,
-//     steps (retain mode) or folding (retain_structure=false). Once the
+//     the per-event work on a stack of value frames: an on-CPU clock per
+//     context gives every call its elapsed and net time in O(1) at its
+//     close, which folds it into the stats; retain mode also fills nodes
+//     from one block per shard and records steps. Once the
 //     planner seals a second shard with input still to come, shards replay
 //     on a process-wide ThreadPool of DefaultJobs() workers (started the
 //     first time any decode gets there) while planning continues. Until
 //     then, and for the tail sealed by Finish or SnapshotStats, the calling
 //     thread replays them itself, so captures under about two shard
 //     targets never touch a thread.
-//  3. Merge stitches calls open across a cut back into one node and
-//     combines per-function stats, which are sums and min/max, so the
-//     result never depends on shard count or worker timing.
+//  3. Merge adds the partial totals of calls open across a cut by their
+//     global id, attaches the calls a shard opened under them, keeps each
+//     shard's node block, and combines per-function stats, which are sums
+//     and min/max, so the result never depends on shard count or worker
+//     timing.
 //
 // Lifetime: `names` must outlive the decoder and any DecodedTrace it emits.
 class StreamingDecoder {

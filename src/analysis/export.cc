@@ -57,7 +57,7 @@ void EmitNode(const CallNode& node, int tid, Nanoseconds trace_end,
                    args.c_str());
     events->push_back(std::move(e));
   }
-  for (const auto& child : node.children) {
+  for (const auto& child : node.Children()) {
     if (child != nullptr) {
       EmitNode(*child, tid, trace_end, events);
     }
@@ -139,7 +139,7 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
         continue;
       }
       idle_cum += step.node->Net();
-      for (const auto& child : step.node->children) {
+      for (const auto& child : step.node->Children()) {
         if (child != nullptr && !child->inline_marker) {
           intr_cum += child->Elapsed();
         }
@@ -202,7 +202,7 @@ void FoldNode(const CallNode& node, const std::string& prefix,
     path += node.fn->name;
     (*agg)[path] += static_cast<std::uint64_t>(node.Net());
   }
-  for (const auto& child : node.children) {
+  for (const auto& child : node.Children()) {
     if (child != nullptr) {
       FoldNode(*child, path, agg);
     }

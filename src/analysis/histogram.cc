@@ -53,7 +53,7 @@ void Walk(const CallNode& node, const std::string& name, Histogram* h) {
   if (node.fn != nullptr && !node.inline_marker && node.fn->name == name) {
     h->Add(ToWholeUsec(node.Net()));
   }
-  for (const auto& child : node.children) {
+  for (const auto& child : node.Children()) {
     Walk(*child, name, h);
   }
 }

@@ -10,7 +10,7 @@ namespace {
 
 void Walk(const CallNode& node, Nanoseconds* busy, Nanoseconds* idle,
           std::uint64_t* calls, std::map<std::string, Nanoseconds>* per_fn) {
-  for (const auto& child : node.children) {
+  for (const auto& child : node.Children()) {
     if (child->fn == nullptr) {
       continue;
     }

@@ -45,7 +45,7 @@ std::string TraceReport::Format(const DecodedTrace& trace, TraceReportOptions op
     if (!step.is_exit) {
       const std::uint64_t net_us = ToWholeUsec(node->Net());
       const std::uint64_t total_us = ToWholeUsec(node->Elapsed());
-      if (node->children.empty()) {
+      if (!node->HasChildren()) {
         out += StrFormat("%s %s-> %s (%llu us)\n", FormatStamp(rel).c_str(), indent.c_str(),
                          node->fn->name.c_str(), static_cast<unsigned long long>(net_us));
       } else {
@@ -60,7 +60,7 @@ std::string TraceReport::Format(const DecodedTrace& trace, TraceReportOptions op
 
     // Exit lines: only for calls with subroutines (the entry line already
     // carries the times of leaf calls), or when crossing a context switch.
-    if (options.show_exits && (!node->children.empty() || step.context_switch_in)) {
+    if (options.show_exits && (node->HasChildren() || step.context_switch_in)) {
       const std::uint64_t net_us = ToWholeUsec(node->Net());
       const std::uint64_t total_us = ToWholeUsec(node->Elapsed());
       out += StrFormat("%s %s<- %s (%llu us, %llu total)%s\n", FormatStamp(rel).c_str(),

@@ -4,11 +4,12 @@
 // workload capture — the StreamingDecoder must reproduce the one-shot
 // reference decoder (tests/reference_decoder.h) at every shard target, so
 // inline replay, pooled replay and the merge are all exercised. Retain mode
-// must be byte-identical in every rendered report and counter; fold mode
-// must match every statistic while keeping no steps and no closed calls.
+// must be byte-identical in every tree node, rendered report and counter;
+// fold mode must match every statistic while building no node and no step.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -254,6 +255,40 @@ TEST(DecodeEngine, DecodeEventsCountsEveryEventFedInBothModes) {
     (void)decoder.Finish();
     EXPECT_EQ(Counter("decode.events") - events, raw.events.size()) << "retain=" << retain;
     EXPECT_EQ(Counter("decode.finishes") - finishes, 1u) << "retain=" << retain;
+  }
+}
+
+// 300,000 nested calls with no exit (a 900 KB hwpb upload). Each call
+// opens and closes in O(1) and a retained tree is freed without recursion,
+// so both modes decode and free it in linear time. The oracle's O(depth)
+// attribution is too slow at this size; the closed forms stand in for it.
+TEST(DecodeEngine, DeepNestingDecodesInLinearTime) {
+  TagFile names;
+  ASSERT_TRUE(TagFile::Parse("bcopy/502\n", &names));
+  constexpr std::uint64_t kDepth = 300'000;
+  constexpr Nanoseconds kGap = Usec(3);
+  const RawTrace raw = DeepNestingTrace(kDepth, 502, 3);
+  for (const bool retain : {true, false}) {
+    const auto start = std::chrono::steady_clock::now();
+    {
+      const DecodedTrace d =
+          DecodeWithTarget(raw, names, StreamingOptions{}.shard_target_ops, retain);
+      const FuncStats* s = d.Stats("bcopy");
+      ASSERT_NE(s, nullptr);
+      EXPECT_EQ(s->calls, kDepth);
+      // The call at depth i stays open for the kDepth - 1 - i gaps after it.
+      EXPECT_EQ(s->elapsed, kGap * kDepth * (kDepth - 1) / 2);
+      EXPECT_EQ(s->net, kGap * (kDepth - 1));
+      EXPECT_EQ(s->max_net, kGap);
+      EXPECT_EQ(s->min_net, 0u);
+      EXPECT_EQ(d.unclosed_entries, kDepth);
+      EXPECT_EQ(d.truncated_entry_counts.at("bcopy"), kDepth);
+      EXPECT_EQ(ArenaNodeCount(d), retain ? kDepth : 0u);
+      EXPECT_EQ(d.steps.size(), retain ? kDepth : 0u);
+    }  // the trace is freed inside the timed region
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    EXPECT_LT(seconds, 10.0) << (retain ? "retain" : "fold");
   }
 }
 

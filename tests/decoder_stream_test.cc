@@ -333,7 +333,7 @@ TEST(StreamingDecoder, BoundedMemoryModePrunesFinishedCalls) {
   EXPECT_EQ(d.Stats("a")->calls, 10000u);
   // The retained structure is only the synthetic root.
   ASSERT_EQ(d.stacks.size(), 1u);
-  EXPECT_TRUE(d.stacks[0]->root->children.empty());
+  EXPECT_FALSE(d.stacks[0]->root->HasChildren());
   EXPECT_TRUE(d.steps.empty());
 }
 

@@ -73,6 +73,9 @@ class ReferenceDecoder {
   void SetClockEnvelope(Nanoseconds capture_elapsed) { envelope_ = capture_elapsed; }
 
   DecodedTrace Finish(bool truncated) {
+    // Each event opens at most one node, so the block never reallocates and
+    // node pointers stay valid.
+    nodes_.reserve(events_.size());
     for (std::size_t i = 0; i < events_.size(); ++i) {
       AttributeInterval(events_[i].t);
       StepEvent(events_[i], i);
@@ -80,6 +83,9 @@ class ReferenceDecoder {
     FinishOpenNodes();
     for (const auto& stack : out_.stacks) {
       Accumulate(*stack->root);
+    }
+    if (!nodes_.empty()) {
+      out_.arena.push_back(std::move(nodes_));
     }
     out_.truncated = truncated;
     out_.event_count = events_.size();
@@ -150,15 +156,20 @@ class ReferenceDecoder {
 
   void OpenNode(ActivityStack* stack, const TagEntry* fn, Nanoseconds t,
                 bool inline_marker) {
-    auto node = std::make_unique<CallNode>();
-    node->fn = fn;
-    node->entry_time = t;
-    node->exit_time = t;
-    node->inline_marker = inline_marker;
-    node->closed = inline_marker;
-    node->parent = stack->top;
-    CallNode* raw = node.get();
-    stack->top->children.push_back(std::move(node));
+    HWPROF_CHECK(nodes_.size() < nodes_.capacity());
+    CallNode* raw = &nodes_.emplace_back();
+    raw->fn = fn;
+    raw->entry_time = t;
+    raw->exit_time = t;
+    raw->inline_marker = inline_marker;
+    raw->closed = inline_marker;
+    raw->parent = stack->top;
+    if (stack->top->last_child == nullptr) {
+      stack->top->first_child = raw;
+    } else {
+      stack->top->last_child->next_sibling = raw;
+    }
+    stack->top->last_child = raw;
     if (!inline_marker) {
       stack->top = raw;
     }
@@ -306,9 +317,9 @@ class ReferenceDecoder {
     if (interval == 0 || top->parent == nullptr) {
       return;
     }
-    top->net_acc += interval;
+    top->net += interval;
     for (CallNode* n = top; n->parent != nullptr; n = n->parent) {
-      n->elapsed_acc += interval;
+      n->elapsed += interval;
     }
   }
 
@@ -346,7 +357,7 @@ class ReferenceDecoder {
         out_.idle_time += net;
       }
     }
-    for (const auto& child : node.children) {
+    for (const CallNode* child : node.Children()) {
       Accumulate(*child);
     }
   }
@@ -354,6 +365,7 @@ class ReferenceDecoder {
   const TagFile& names_;
   const UsecTimer timer_;
   DecodedTrace out_;
+  std::vector<CallNode> nodes_;  // every node but the roots
   std::vector<Event> events_;
   bool have_prev_ = false;
   std::uint32_t prev_ = 0;

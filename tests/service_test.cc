@@ -37,6 +37,7 @@
 #include "src/service/soak.h"
 #include "src/snmp/mib.h"
 #include "src/snmp/telemetry_mib.h"
+#include "tests/trace_testutil.h"
 
 namespace hwprof {
 namespace service {
@@ -227,6 +228,30 @@ TEST(ServiceIngest, CachedSummaryMatchesOfflineDecode) {
   EXPECT_EQ(outcome.summary, Summary(offline).Format(5))
       << "service summary diverged from the offline decode";
   EXPECT_EQ(outcome.events, offline.event_count);
+}
+
+// A hostile but legal upload: 300,000 nested bcopy entries with no exit,
+// about 900 KB of hwpb under the 4 MiB cap. A workers=0 Submit decodes it
+// and caches its summary promptly, so such an upload cannot hold a worker.
+TEST(ServiceIngest, DeepNestingUploadDecodesPromptly) {
+  std::string names_text;
+  ASSERT_TRUE(ReadFile(GoldenPath("net_receive.names"), &names_text));
+  TagFile names;
+  ASSERT_TRUE(TagFile::Parse(names_text, &names));
+  const std::string payload = EncodeCaptureBinary(DeepNestingTrace(300'000, 502, 3));
+  ServiceOptions options;
+  options.workers = 0;
+  ASSERT_LE(payload.size(), options.max_upload_bytes);
+  IngestService service(names, options);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(service.Submit("deep", payload).accepted);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(seconds, 10.0);
+  UploadOutcome outcome;
+  ASSERT_TRUE(service.LookupOutcome(IngestService::HashPayload(payload), &outcome));
+  EXPECT_EQ(outcome.events, 300'000u);
+  EXPECT_NE(outcome.summary.find("bcopy"), std::string::npos);
 }
 
 TEST(ServiceIngest, CacheEvictsLeastRecentlyUsed) {

@@ -1,7 +1,8 @@
 // Shared helpers for the differential-equivalence tests: a small names
 // file, adversarial fuzz-trace generators, and a fingerprint that renders
-// EVERY observable of a decoded trace — all four reports plus every counter
-// and attribution map — to one comparable string. Every decode of a capture,
+// EVERY observable of a decoded trace — the call trees node by node, the
+// reports and exports, and every counter and attribution map — to one
+// comparable string. Every decode of a capture,
 // however it is fed and however many shards it is cut into, must produce
 // the fingerprint of the one-shot reference decoder (tests/
 // reference_decoder.h); the fuzz suites assert exactly that.
@@ -18,6 +19,7 @@
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
+#include "src/analysis/export.h"
 #include "src/analysis/process_report.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
@@ -93,13 +95,66 @@ inline std::string StatsFingerprint(const DecodedTrace& d) {
   return out;
 }
 
-// Every observable: the statistics plus the reports built from the trees
-// and steps.
+inline void AppendTree(const CallNode& node, int depth, std::string* out) {
+  for (const CallNode* child : node.Children()) {
+    EXPECT_EQ(child->parent, &node) << "child link of " << child->fn->name;
+    *out += std::string(static_cast<std::size_t>(depth), ' ') + child->fn->name + " " +
+            std::to_string(child->entry_time) + "-" + std::to_string(child->exit_time) +
+            " net=" + std::to_string(child->Net()) +
+            " elapsed=" + std::to_string(child->Elapsed()) +
+            (child->closed ? " closed" : "") + (child->forced_close ? " forced" : "") +
+            (child->inline_marker ? " inline" : "") + "\n";
+    AppendTree(*child, depth + 1, out);
+  }
+}
+
+// The call trees themselves, depth-first per stack, one line per node:
+// name, entry and exit, net and elapsed, and flags. Reports aggregate, so
+// only this pins sibling order and which parent a call hangs under. Fails
+// the test unless every child's parent link points back at its parent.
+inline std::string TreeFingerprint(const DecodedTrace& d) {
+  std::string out;
+  for (const auto& stack : d.stacks) {
+    out += "context " + std::to_string(stack->id) + (stack->suspended ? " suspended" : "") +
+           "\n";
+    AppendTree(*stack->root, 1, &out);
+  }
+  return out;
+}
+
+// Nodes reachable from the stack roots, and nodes held in the arena.
+inline std::size_t TreeNodeCount(const CallNode& node) {
+  std::size_t n = 0;
+  for (const CallNode* child : node.Children()) {
+    n += 1 + TreeNodeCount(*child);
+  }
+  return n;
+}
+inline std::size_t TreeNodeCount(const DecodedTrace& d) {
+  std::size_t n = 0;
+  for (const auto& stack : d.stacks) {
+    n += TreeNodeCount(*stack->root);
+  }
+  return n;
+}
+inline std::size_t ArenaNodeCount(const DecodedTrace& d) {
+  std::size_t n = 0;
+  for (const std::vector<CallNode>& block : d.arena) {
+    n += block.size();
+  }
+  return n;
+}
+
+// Every observable: the statistics, the trees, and the reports and exports
+// built from the trees and steps.
 inline std::string Fingerprint(const DecodedTrace& d) {
   std::string out = StatsFingerprint(d);
+  out += "\n--tree--\n" + TreeFingerprint(d);
   out += "\n--callgraph--\n" + CallGraph(d).Format(d);
   out += "\n--processes--\n" + ProcessReport(d).Format(d);
   out += "\n--trace--\n" + TraceReport::Format(d);
+  out += "\n--json--\n" + ExportTraceEventJson(d);
+  out += "\n--folded--\n" + ExportFoldedStacks(d);
   out += "|steps=" + std::to_string(d.steps.size());
   return out;
 }
@@ -158,28 +213,42 @@ inline RawTrace FuzzTrace(std::uint64_t seed, int length) {
   return raw;
 }
 
+// `depth` nested entries of one function, `gap_ticks` timer ticks apart,
+// and no exit: a recursion still descending when the board stopped. Every
+// call is open at once, so any per-event cost that grows with the depth of
+// the open stack shows as quadratic decode time.
+inline RawTrace DeepNestingTrace(std::uint32_t depth, std::uint16_t entry_tag,
+                                 std::uint32_t gap_ticks) {
+  RawTrace raw;
+  raw.events.reserve(depth);
+  for (std::uint32_t i = 0; i < depth; ++i) {
+    raw.events.push_back({entry_tag, (i * gap_ticks) & ((1u << 24) - 1)});
+  }
+  return raw;
+}
+
 // Shard targets every differential suite runs: one op per shard and 64
 // (many shards, pooled replay) and the default (usually one inline shard).
 inline constexpr std::size_t kShardTargets[] = {1, 64, StreamingOptions{}.shard_target_ops};
 
-// Fold mode frees every call as it closes: after Finish no tree may still
-// hold a closed call, and no step is recorded.
-inline bool HasClosedCall(const CallNode& node) {
-  for (const auto& child : node.children) {
-    if (child->closed || HasClosedCall(*child)) {
-      return true;
-    }
-  }
-  return false;
-}
-
+// Fold mode builds no node and records no step: the arena is empty and
+// every stack root is childless.
 inline void ExpectFoldMatchesOracle(const DecodedTrace& fold, const DecodedTrace& oracle,
                                     const std::string& what) {
   EXPECT_EQ(StatsFingerprint(fold), StatsFingerprint(oracle)) << what;
   EXPECT_TRUE(fold.steps.empty()) << what;
+  EXPECT_TRUE(fold.arena.empty()) << what;
   for (const auto& stack : fold.stacks) {
-    EXPECT_FALSE(HasClosedCall(*stack->root)) << what << " stack " << stack->id;
+    EXPECT_FALSE(stack->root->HasChildren()) << what << " stack " << stack->id;
   }
+}
+
+// A retained trace holds exactly one node per call and inline marker, every
+// one of them in the tree: nothing is left over from a shard cut.
+inline void ExpectArenaHoldsOnlyTheTree(const DecodedTrace& retained,
+                                        const DecodedTrace& oracle, const std::string& what) {
+  EXPECT_EQ(ArenaNodeCount(retained), TreeNodeCount(oracle)) << what;
+  EXPECT_EQ(TreeNodeCount(retained), TreeNodeCount(oracle)) << what;
 }
 
 // One-shot engine decode with the batch wrappers' accounting.
@@ -202,8 +271,10 @@ inline void ExpectEngineMatchesOracle(const RawTrace& raw, const TagFile& names,
   const std::string expected = Fingerprint(oracle);
   ASSERT_EQ(Fingerprint(Decoder::Decode(raw, names)), expected) << what;
   for (const std::size_t target : kShardTargets) {
-    ASSERT_EQ(Fingerprint(DecodeWithTarget(raw, names, target)), expected)
-        << what << " shard_target_ops=" << target;
+    const DecodedTrace retained = DecodeWithTarget(raw, names, target);
+    ASSERT_EQ(Fingerprint(retained), expected) << what << " shard_target_ops=" << target;
+    ExpectArenaHoldsOnlyTheTree(retained, oracle,
+                                what + " shard_target_ops=" + std::to_string(target));
     ExpectFoldMatchesOracle(DecodeWithTarget(raw, names, target, /*retain=*/false),
                             oracle, what + " fold shard_target_ops=" + std::to_string(target));
   }
