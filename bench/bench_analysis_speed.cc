@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/analysis/decoder.h"
+#include "src/analysis/export.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
 #include "src/profhw/binary_trace.h"
@@ -70,6 +71,41 @@ void BM_FormatTraceReport(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FormatTraceReport);
+
+void BM_ExportTraceEventJson(benchmark::State& state) {
+  CaptureFixture& f = Fixture();
+  const DecodedTrace d = Decoder::Decode(f.raw, f.tb->tags());
+  for (auto _ : state) {
+    const std::string json = ExportTraceEventJson(d);
+    benchmark::DoNotOptimize(json.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.raw.events.size()));
+}
+BENCHMARK(BM_ExportTraceEventJson);
+
+void BM_ExportFoldedStacks(benchmark::State& state) {
+  CaptureFixture& f = Fixture();
+  const DecodedTrace d = Decoder::Decode(f.raw, f.tb->tags());
+  for (auto _ : state) {
+    const std::string folded = ExportFoldedStacks(d);
+    benchmark::DoNotOptimize(folded.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.raw.events.size()));
+}
+BENCHMARK(BM_ExportFoldedStacks);
+
+void BM_SerializeRawTrace(benchmark::State& state) {
+  CaptureFixture& f = Fixture();
+  for (auto _ : state) {
+    const std::string text = f.raw.Serialize();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.raw.events.size()));
+}
+BENCHMARK(BM_SerializeRawTrace);
 
 void BM_SerializeRoundTrip(benchmark::State& state) {
   CaptureFixture& f = Fixture();

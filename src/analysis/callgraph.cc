@@ -2,31 +2,35 @@
 
 #include <algorithm>
 
-#include "src/base/strings.h"
+#include "src/base/text_writer.h"
 
 namespace hwprof {
+namespace {
+
+// One "    <- caller    N calls    M us" line with a name up to 24 bytes.
+constexpr std::size_t kEdgeLineBytes = 64;
+
+}  // namespace
 
 CallGraph::CallGraph(const DecodedTrace& trace) {
   for (const auto& stack : trace.stacks) {
-    Walk(*stack->root, kSpontaneous);
-  }
-}
-
-void CallGraph::Walk(const CallNode& node, const std::string& caller) {
-  for (const auto& child : node.Children()) {
-    if (child->fn == nullptr || child->inline_marker) {
-      continue;
-    }
-    const std::pair<std::string, std::string> key{caller, child->fn->name};
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      it = index_.emplace(key, edges_.size()).first;
-      edges_.push_back(CallEdge{caller, child->fn->name, 0, 0});
-    }
-    CallEdge& edge = edges_[it->second];
-    ++edge.calls;
-    edge.callee_elapsed += child->Elapsed();
-    Walk(*child, child->fn->name);
+    WalkTree(*stack->root, [this](const CallNode& node) {
+      if (node.fn == nullptr || node.inline_marker) {
+        return;
+      }
+      const CallNode* parent = node.parent;
+      const std::string caller =
+          parent->fn != nullptr ? parent->fn->name : std::string(kSpontaneous);
+      const std::pair<std::string, std::string> key{caller, node.fn->name};
+      auto it = index_.find(key);
+      if (it == index_.end()) {
+        it = index_.emplace(key, edges_.size()).first;
+        edges_.push_back(CallEdge{caller, node.fn->name, 0, 0});
+      }
+      CallEdge& edge = edges_[it->second];
+      ++edge.calls;
+      edge.callee_elapsed += node.Elapsed();
+    });
   }
 }
 
@@ -76,30 +80,34 @@ std::string CallGraph::Format(const DecodedTrace& trace, std::size_t top_n) cons
                                           : a.first < b.first;
   });
 
-  std::string out;
-  std::size_t emitted = 0;
-  for (const auto& [name, stats] : order) {
-    if (top_n != 0 && emitted >= top_n) {
-      break;
-    }
-    ++emitted;
-    out += StrFormat("%s  (%llu calls, %llu us net, %llu us total)\n", name.c_str(),
-                     static_cast<unsigned long long>(stats->calls),
-                     static_cast<unsigned long long>(ToWholeUsec(stats->net)),
-                     static_cast<unsigned long long>(ToWholeUsec(stats->elapsed)));
-    for (const CallEdge* edge : CallersOf(name)) {
-      out += StrFormat("    <- %-24s %8llu calls %10llu us\n", edge->caller.c_str(),
-                       static_cast<unsigned long long>(edge->calls),
-                       static_cast<unsigned long long>(ToWholeUsec(edge->callee_elapsed)));
-    }
-    for (const CallEdge* edge : CalleesOf(name)) {
-      out += StrFormat("    -> %-24s %8llu calls %10llu us\n", edge->callee.c_str(),
-                       static_cast<unsigned long long>(edge->calls),
-                       static_cast<unsigned long long>(ToWholeUsec(edge->callee_elapsed)));
-    }
-    out += "\n";
+  const std::size_t shown = top_n != 0 && top_n < order.size() ? top_n : order.size();
+  std::vector<std::vector<const CallEdge*>> callers(shown);
+  std::vector<std::vector<const CallEdge*>> callees(shown);
+  std::size_t bytes = 0;
+  for (std::size_t i = 0; i < shown; ++i) {
+    callers[i] = CallersOf(order[i].first);
+    callees[i] = CalleesOf(order[i].first);
+    bytes += order[i].first.size() + 64 + kEdgeLineBytes * (callers[i].size() + callees[i].size());
   }
-  return out;
+  TextWriter w(bytes);
+  auto edge_line = [&w](const char* arrow, const std::string& other, const CallEdge& edge) {
+    w.Append(arrow).Left(other, 24).Append(' ').Uint(edge.calls, 8).Append(" calls ");
+    w.Uint(ToWholeUsec(edge.callee_elapsed), 10).Append(" us\n");
+  };
+  for (std::size_t i = 0; i < shown; ++i) {
+    const auto& [name, stats] = order[i];
+    w.Append(name).Append("  (").Uint(stats->calls).Append(" calls, ");
+    w.Uint(ToWholeUsec(stats->net)).Append(" us net, ");
+    w.Uint(ToWholeUsec(stats->elapsed)).Append(" us total)\n");
+    for (const CallEdge* edge : callers[i]) {
+      edge_line("    <- ", edge->caller, *edge);
+    }
+    for (const CallEdge* edge : callees[i]) {
+      edge_line("    -> ", edge->callee, *edge);
+    }
+    w.Append('\n');
+  }
+  return w.Take();
 }
 
 }  // namespace hwprof

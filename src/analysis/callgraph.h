@@ -45,8 +45,6 @@ class CallGraph {
   std::string Format(const DecodedTrace& trace, std::size_t top_n = 0) const;
 
  private:
-  void Walk(const CallNode& node, const std::string& caller);
-
   std::vector<CallEdge> edges_;
   std::map<std::pair<std::string, std::string>, std::size_t> index_;
 };

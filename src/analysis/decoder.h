@@ -91,6 +91,39 @@ struct CallNode {
   bool HasChildren() const { return first_child != nullptr; }
 };
 
+// Visits every node below `root` in pre-order: `enter(node)` before the
+// node's children (in call order), `leave(node)` once its whole subtree has
+// been entered. The walk follows the parent/first_child/next_sibling links,
+// so it uses no recursion and no stack however deep the tree is.
+template <typename Enter, typename Leave>
+void WalkTree(const CallNode& root, Enter&& enter, Leave&& leave) {
+  const CallNode* node = root.first_child;
+  while (node != nullptr) {
+    enter(*node);
+    if (node->first_child != nullptr) {
+      node = node->first_child;
+      continue;
+    }
+    while (true) {
+      leave(*node);
+      if (node->next_sibling != nullptr) {
+        node = node->next_sibling;
+        break;
+      }
+      node = node->parent;
+      if (node == &root) {
+        node = nullptr;
+        break;
+      }
+    }
+  }
+}
+
+template <typename Enter>
+void WalkTree(const CallNode& root, Enter&& enter) {
+  WalkTree(root, enter, [](const CallNode&) {});
+}
+
 // One process context discovered in the trace.
 struct ActivityStack {
   int id = 0;

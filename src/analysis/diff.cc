@@ -6,7 +6,7 @@
 #include "src/analysis/callgraph.h"
 #include "src/analysis/grouping.h"
 #include "src/base/json.h"
-#include "src/base/strings.h"
+#include "src/base/text_writer.h"
 
 namespace hwprof {
 namespace {
@@ -198,109 +198,128 @@ const DiffRow* TraceDiff::Group(const std::string& label) const {
   return FindRow(groups_, label);
 }
 
-std::string TraceDiff::FormatText() const {
-  auto u64 = [](std::uint64_t v) {
-    return static_cast<unsigned long long>(v);
-  };
-  std::string out = "== differential profile (A = baseline, B = candidate) ==\n";
-  out += StrFormat("A: %llu us elapsed, %llu us run, %llu us idle, %llu events\n",
-                   u64(totals_.a_elapsed_us), u64(totals_.a_run_us),
-                   u64(totals_.a_idle_us), u64(totals_.a_events));
-  out += StrFormat("B: %llu us elapsed, %llu us run, %llu us idle, %llu events\n",
-                   u64(totals_.b_elapsed_us), u64(totals_.b_run_us),
-                   u64(totals_.b_idle_us), u64(totals_.b_events));
-  out += StrFormat("noise threshold: %.2f%% (%zu sub-noise rows suppressed)\n",
-                   noise_pct_, suppressed_);
-  if (quantum_us_ > 0.0) {
-    out += StrFormat("quantum floor: %.2f us/call\n", quantum_us_);
+namespace {
+
+// Bytes of one rendered row beyond its key.
+constexpr std::size_t kTextRowBytes = 80;
+constexpr std::size_t kJsonRowBytes = 176;
+
+std::size_t EstimateBytes(const std::vector<DiffRow>* const (&sections)[3],
+                          std::size_t row_bytes) {
+  std::size_t bytes = 640;
+  for (const std::vector<DiffRow>* rows : sections) {
+    for (const DiffRow& row : *rows) {
+      if (!row.suppressed) {
+        bytes += row.key.size() + row_bytes;
+      }
+    }
   }
-  const std::vector<DiffRow>* sections[3] = {&functions_, &edges_, &groups_};
+  return bytes;
+}
+
+void WriteTotalsLine(const char* side, std::uint64_t elapsed, std::uint64_t run,
+                     std::uint64_t idle, std::uint64_t events, TextWriter* w) {
+  w->Append(side).Append(": ").Uint(elapsed).Append(" us elapsed, ").Uint(run);
+  w->Append(" us run, ").Uint(idle).Append(" us idle, ").Uint(events).Append(" events\n");
+}
+
+void WriteTotalsJson(std::uint64_t elapsed, std::uint64_t run, std::uint64_t idle,
+                     std::uint64_t events, TextWriter* w) {
+  w->Append("{\"elapsed_us\": ").Uint(elapsed).Append(", \"run_us\": ").Uint(run);
+  w->Append(", \"idle_us\": ").Uint(idle).Append(", \"events\": ").Uint(events);
+  w->Append("},\n");
+}
+
+}  // namespace
+
+std::string TraceDiff::FormatText() const {
+  const std::vector<DiffRow>* const sections[3] = {&functions_, &edges_, &groups_};
+  TextWriter w(EstimateBytes(sections, kTextRowBytes));
+  w.Append("== differential profile (A = baseline, B = candidate) ==\n");
+  WriteTotalsLine("A", totals_.a_elapsed_us, totals_.a_run_us, totals_.a_idle_us,
+                  totals_.a_events, &w);
+  WriteTotalsLine("B", totals_.b_elapsed_us, totals_.b_run_us, totals_.b_idle_us,
+                  totals_.b_events, &w);
+  w.Append("noise threshold: ").Fixed2(noise_pct_).Append("% (").Uint(suppressed_);
+  w.Append(" sub-noise rows suppressed)\n");
+  if (quantum_us_ > 0.0) {
+    w.Append("quantum floor: ").Fixed2(quantum_us_).Append(" us/call\n");
+  }
   for (int i = 0; i < 3; ++i) {
-    const char* advisory = (i == 1 && !gate_edges_) ? " (advisory)" : "";
-    out += StrFormat("\n-- %s%s --\n", SectionTitle(i), advisory);
-    out += "      A us     B us     delta        rel  A calls  B calls   name\n";
+    w.Append("\n-- ").Append(SectionTitle(i));
+    w.Append(i == 1 && !gate_edges_ ? " (advisory) --\n" : " --\n");
+    w.Append("      A us     B us     delta        rel  A calls  B calls   name\n");
     bool any = false;
     for (const DiffRow& row : *sections[i]) {
       if (row.suppressed) {
         continue;
       }
       any = true;
-      std::string rel;
+      w.Uint(row.a_us, 10).Append(' ').Uint(row.b_us, 8).Append(' ');
+      w.Signed(row.delta_us, 9).Append(' ');
+      const std::size_t rel = w.size();
       if (row.only_b) {
-        rel = "new";
+        w.Append("new");
       } else if (row.only_a) {
-        rel = "gone";
+        w.Append("gone");
       } else {
-        rel = StrFormat("%+.2f%%", row.rel_pct);
+        w.Fixed2(row.rel_pct, 0, /*plus=*/true).Append('%');
       }
-      out += StrFormat("%10llu %8llu %+9lld %10s %8llu %8llu   %s%s\n",
-                       u64(row.a_us), u64(row.b_us),
-                       static_cast<long long>(row.delta_us), rel.c_str(),
-                       u64(row.a_calls), u64(row.b_calls), row.key.c_str(),
-                       row.regressed ? "  [REGRESSED]" : "");
+      w.AlignRight(rel, 10);
+      w.Append(' ').Uint(row.a_calls, 8).Append(' ').Uint(row.b_calls, 8).Append("   ");
+      w.Append(row.key).Append(row.regressed ? "  [REGRESSED]\n" : "\n");
     }
     if (!any) {
-      out += "  (no rows above noise)\n";
+      w.Append("  (no rows above noise)\n");
     }
   }
-  out += StrFormat("\nregressions above noise: %zu\n", regressions_);
-  return out;
+  w.Append("\nregressions above noise: ").Uint(regressions_).Append('\n');
+  return w.Take();
 }
 
 std::string TraceDiff::FormatJson() const {
-  auto u64 = [](std::uint64_t v) {
-    return StrFormat("%llu", static_cast<unsigned long long>(v));
-  };
-  auto totals = [&](std::uint64_t elapsed, std::uint64_t run, std::uint64_t idle,
-                    std::uint64_t events) {
-    return "{\"elapsed_us\": " + u64(elapsed) + ", \"run_us\": " + u64(run) +
-           ", \"idle_us\": " + u64(idle) + ", \"events\": " + u64(events) + "}";
-  };
-  std::string out = "{\n";
-  out += StrFormat("  \"noise_pct\": %.2f,\n", noise_pct_);
+  const std::vector<DiffRow>* const sections[3] = {&functions_, &edges_, &groups_};
+  TextWriter w(EstimateBytes(sections, kJsonRowBytes));
+  w.Append("{\n  \"noise_pct\": ").Fixed2(noise_pct_).Append(",\n");
   if (quantum_us_ > 0.0) {
-    out += StrFormat("  \"quantum_us\": %.2f,\n", quantum_us_);
+    w.Append("  \"quantum_us\": ").Fixed2(quantum_us_).Append(",\n");
   }
   if (!gate_edges_) {
-    out += "  \"gated_sections\": [\"functions\", \"groups\"],\n";
+    w.Append("  \"gated_sections\": [\"functions\", \"groups\"],\n");
   }
-  out += "  \"a\": " + totals(totals_.a_elapsed_us, totals_.a_run_us,
-                              totals_.a_idle_us, totals_.a_events) + ",\n";
-  out += "  \"b\": " + totals(totals_.b_elapsed_us, totals_.b_run_us,
-                              totals_.b_idle_us, totals_.b_events) + ",\n";
-  const std::vector<DiffRow>* sections[3] = {&functions_, &edges_, &groups_};
+  w.Append("  \"a\": ");
+  WriteTotalsJson(totals_.a_elapsed_us, totals_.a_run_us, totals_.a_idle_us,
+                  totals_.a_events, &w);
+  w.Append("  \"b\": ");
+  WriteTotalsJson(totals_.b_elapsed_us, totals_.b_run_us, totals_.b_idle_us,
+                  totals_.b_events, &w);
   for (int i = 0; i < 3; ++i) {
-    out += StrFormat("  \"%s\": [", SectionJsonKey(i));
+    w.Append("  \"").Append(SectionJsonKey(i)).Append("\": [");
     bool first = true;
     for (const DiffRow& row : *sections[i]) {
       if (row.suppressed) {
         continue;
       }
-      out += first ? "\n" : ",\n";
+      w.Append(first ? "\n" : ",\n");
       first = false;
-      out += "    {\"name\": ";
-      AppendJsonString(row.key, &out);
-      out += ", \"a_us\": " + u64(row.a_us) + ", \"b_us\": " + u64(row.b_us);
-      out += StrFormat(", \"delta_us\": %lld",
-                       static_cast<long long>(row.delta_us));
+      w.Append("    {\"name\": ").JsonString(row.key);
+      w.Append(", \"a_us\": ").Uint(row.a_us).Append(", \"b_us\": ").Uint(row.b_us);
+      w.Append(", \"delta_us\": ").Int(row.delta_us);
       if (row.only_b) {
-        out += ", \"rel_pct\": null, \"status\": \"new\"";
-      } else if (row.only_a) {
-        out += StrFormat(", \"rel_pct\": %.2f, \"status\": \"gone\"", row.rel_pct);
+        w.Append(", \"rel_pct\": null, \"status\": \"new\"");
       } else {
-        out += StrFormat(", \"rel_pct\": %.2f, \"status\": \"%s\"", row.rel_pct,
-                         row.regressed ? "regressed" : "changed");
+        w.Append(", \"rel_pct\": ").Fixed2(row.rel_pct).Append(", \"status\": \"");
+        w.Append(row.only_a ? "gone" : row.regressed ? "regressed" : "changed").Append('"');
       }
-      out += ", \"a_calls\": " + u64(row.a_calls) +
-             ", \"b_calls\": " + u64(row.b_calls);
-      out += StrFormat(", \"regressed\": %s}", row.regressed ? "true" : "false");
+      w.Append(", \"a_calls\": ").Uint(row.a_calls);
+      w.Append(", \"b_calls\": ").Uint(row.b_calls);
+      w.Append(row.regressed ? ", \"regressed\": true}" : ", \"regressed\": false}");
     }
-    out += first ? "],\n" : "\n  ],\n";
+    w.Append(first ? "],\n" : "\n  ],\n");
   }
-  out += StrFormat("  \"suppressed_rows\": %zu,\n", suppressed_);
-  out += StrFormat("  \"regressions\": %zu\n", regressions_);
-  out += "}\n";
-  return out;
+  w.Append("  \"suppressed_rows\": ").Uint(suppressed_).Append(",\n");
+  w.Append("  \"regressions\": ").Uint(regressions_).Append("\n}\n");
+  return w.Take();
 }
 
 }  // namespace hwprof

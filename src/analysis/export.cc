@@ -2,71 +2,80 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/base/json.h"
 #include "src/base/strings.h"
+#include "src/base/text_writer.h"
 
 namespace hwprof {
 
 namespace {
 
-// --- Emission helpers --------------------------------------------------------
-
-// `{"name":<name>` — how every named event starts.
-std::string EventStart(std::string_view name) {
-  std::string e = "{\"name\":";
-  AppendJsonString(name, &e);
-  return e;
-}
-
-// Chrome wants microseconds; integer-only rendering of the exact nanosecond
-// value keeps the output byte-stable across platforms.
-std::string UsecStr(Nanoseconds ns) {
-  return StrFormat("%llu.%03llu", static_cast<unsigned long long>(ns / 1000),
-                   static_cast<unsigned long long>(ns % 1000));
-}
-
-constexpr int kPid = 1;
-constexpr int kAnomalyTid = 0;  // stacks are tid 1..N
-
-void EmitNode(const CallNode& node, int tid, Nanoseconds trace_end,
-              std::vector<std::string>* events) {
-  if (node.fn != nullptr) {
-    if (node.inline_marker) {
-      std::string e = EventStart(node.fn->name);
-      e += StrFormat(",\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"s\":\"t\"}",
-                     kPid, tid, UsecStr(node.entry_time).c_str());
-      events->push_back(std::move(e));
-      return;  // inline markers have no duration and no children
-    }
-    const Nanoseconds exit = node.closed ? node.exit_time : trace_end;
-    const Nanoseconds dur = exit >= node.entry_time ? exit - node.entry_time : 0;
-    std::string args = StrFormat(
-        "{\"net_ns\":%llu,\"elapsed_ns\":%llu",
-        static_cast<unsigned long long>(node.Net()),
-        static_cast<unsigned long long>(node.Elapsed()));
-    if (node.forced_close) {
-      args += ",\"forced_close\":1";
-    }
-    args += "}";
-    std::string e = EventStart(node.fn->name);
-    e += StrFormat(",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}",
-                   kPid, tid, UsecStr(node.entry_time).c_str(), UsecStr(dur).c_str(),
-                   args.c_str());
-    events->push_back(std::move(e));
-  }
-  for (const auto& child : node.Children()) {
-    if (child != nullptr) {
-      EmitNode(*child, tid, trace_end, events);
-    }
-  }
-}
+// Bytes of one event beyond its name, for the reserve: an "X" slice's ids,
+// µs fields and ns args at capture-scale values, and a cumulative counter
+// sample. An estimate, not a bound; the buffer grows if it is exceeded.
+constexpr std::size_t kSliceBytes = 112;
+constexpr std::size_t kCounterBytes = 120;
 
 bool IsContextSwitchNode(const CallNode* node) {
   return node != nullptr && node->fn != nullptr &&
          node->fn->kind == TagKind::kContextSwitch;
+}
+
+// `{"name":<escaped name>` for each function, escaped once per export.
+class NamePrefixes {
+ public:
+  std::string_view Get(const TagEntry* fn) {
+    auto [it, inserted] = cache_.try_emplace(fn);
+    if (inserted) {
+      it->second = "{\"name\":";
+      AppendJsonString(fn->name, &it->second);
+    }
+    return it->second;
+  }
+
+ private:
+  std::unordered_map<const TagEntry*, std::string> cache_;
+};
+
+// The "traceEvents" array body: events separated by ",\n".
+class EventList {
+ public:
+  explicit EventList(TextWriter* w) : w_(w) {}
+  TextWriter& Next() {
+    if (!first_) {
+      w_->Append(",\n");
+    }
+    first_ = false;
+    return *w_;
+  }
+
+ private:
+  TextWriter* w_;
+  bool first_ = true;
+};
+
+void EmitNode(const CallNode& node, int tid, Nanoseconds trace_end,
+              NamePrefixes* names, EventList* events) {
+  if (node.fn == nullptr) {
+    return;
+  }
+  TextWriter& w = events->Next().Append(names->Get(node.fn));
+  if (node.inline_marker) {
+    w.Append(",\"ph\":\"i\",\"pid\":1,\"tid\":").Int(tid).Append(",\"ts\":");
+    w.UsecFromNs(node.entry_time).Append(",\"s\":\"t\"}");
+    return;
+  }
+  const Nanoseconds exit = node.closed ? node.exit_time : trace_end;
+  const Nanoseconds dur = exit >= node.entry_time ? exit - node.entry_time : 0;
+  w.Append(",\"ph\":\"X\",\"pid\":1,\"tid\":").Int(tid).Append(",\"ts\":");
+  w.UsecFromNs(node.entry_time).Append(",\"dur\":").UsecFromNs(dur);
+  w.Append(",\"args\":{\"net_ns\":").Uint(node.Net());
+  w.Append(",\"elapsed_ns\":").Uint(node.Elapsed());
+  w.Append(node.forced_close ? ",\"forced_close\":1}}" : "}}");
 }
 
 struct AnomalyRow {
@@ -89,6 +98,20 @@ std::vector<AnomalyRow> AnomalyRows(const DecodedTrace& d) {
   };
 }
 
+// One slice or instant per entry step and one counter sample per context
+// switch exit, plus the metadata and the tail events.
+std::size_t EstimateJsonBytes(const DecodedTrace& decoded) {
+  std::size_t bytes = 1024 + 128 * decoded.stacks.size();
+  for (const TraceStep& step : decoded.steps) {
+    if (!step.is_exit) {
+      bytes += step.node->fn->name.size() + kSliceBytes;
+    } else if (IsContextSwitchNode(step.node)) {
+      bytes += kCounterBytes;
+    }
+  }
+  return bytes;
+}
+
 }  // namespace
 
 std::string ExportTraceEventJson(const DecodedTrace& decoded) {
@@ -97,25 +120,29 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded) {
 
 std::string ExportTraceEventJson(const DecodedTrace& decoded,
                                  const obs::Snapshot* telemetry) {
-  std::vector<std::string> events;
-  events.push_back(StrFormat(
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,"
-      "\"args\":{\"name\":\"hwprof simulated machine\"}}",
-      kPid));
-  events.push_back(StrFormat(
-      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
-      "\"args\":{\"name\":\"anomalies\"}}",
-      kPid, kAnomalyTid));
+  TextWriter w(EstimateJsonBytes(decoded));
+  w.Append("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+  // Every event is on pid 1: tid 0 holds the anomaly instants, and
+  // activity stack k is tid k + 1.
+  EventList events(&w);
+  events.Next().Append(
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+      "\"args\":{\"name\":\"hwprof simulated machine\"}}");
+  events.Next().Append(
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+      "\"args\":{\"name\":\"anomalies\"}}");
   for (const auto& stack : decoded.stacks) {
-    events.push_back(StrFormat(
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
-        "\"args\":{\"name\":\"context %d\"}}",
-        kPid, stack->id + 1, stack->id));
+    events.Next().Append(
+        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":").Int(stack->id + 1);
+    w.Append(",\"args\":{\"name\":\"context ").Int(stack->id).Append("\"}}");
   }
 
+  NamePrefixes names;
   for (const auto& stack : decoded.stacks) {
     if (stack->root != nullptr) {
-      EmitNode(*stack->root, stack->id + 1, decoded.end_time, &events);
+      WalkTree(*stack->root, [&](const CallNode& node) {
+        EmitNode(node, stack->id + 1, decoded.end_time, &names, &events);
+      });
     }
   }
 
@@ -124,13 +151,10 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
   // children's elapsed time as interrupt work taken during the idle window.
   Nanoseconds idle_cum = 0;
   Nanoseconds intr_cum = 0;
-  std::vector<std::string> counter_events;
   auto counter_sample = [&](Nanoseconds t) {
-    counter_events.push_back(StrFormat(
-        "{\"name\":\"cpu (cumulative us)\",\"ph\":\"C\",\"pid\":%d,\"ts\":%s,"
-        "\"args\":{\"idle_us\":%s,\"interrupt_us\":%s}}",
-        kPid, UsecStr(t).c_str(), UsecStr(idle_cum).c_str(),
-        UsecStr(intr_cum).c_str()));
+    events.Next().Append("{\"name\":\"cpu (cumulative us)\",\"ph\":\"C\",\"pid\":1,\"ts\":");
+    w.UsecFromNs(t).Append(",\"args\":{\"idle_us\":").UsecFromNs(idle_cum);
+    w.Append(",\"interrupt_us\":").UsecFromNs(intr_cum).Append("}}");
   };
   if (!decoded.steps.empty()) {
     counter_sample(decoded.start_time);
@@ -139,27 +163,22 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
         continue;
       }
       idle_cum += step.node->Net();
-      for (const auto& child : step.node->Children()) {
-        if (child != nullptr && !child->inline_marker) {
+      for (const CallNode* child : step.node->Children()) {
+        if (!child->inline_marker) {
           intr_cum += child->Elapsed();
         }
       }
       counter_sample(step.t);
     }
   }
-  for (std::string& e : counter_events) {
-    events.push_back(std::move(e));
-  }
 
   for (const AnomalyRow& row : AnomalyRows(decoded)) {
     if (row.count == 0) {
       continue;
     }
-    events.push_back(StrFormat(
-        "{\"name\":\"anomaly: %s\",\"ph\":\"i\",\"pid\":%d,\"tid\":%d,"
-        "\"ts\":%s,\"s\":\"g\",\"args\":{\"count\":%llu}}",
-        row.name, kPid, kAnomalyTid, UsecStr(decoded.end_time).c_str(),
-        static_cast<unsigned long long>(row.count)));
+    events.Next().Append("{\"name\":\"anomaly: ").Append(row.name);
+    w.Append("\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":").UsecFromNs(decoded.end_time);
+    w.Append(",\"s\":\"g\",\"args\":{\"count\":").Uint(row.count).Append("}}");
   }
 
   // Pipeline-telemetry counter tracks (snapshots are name-sorted, so the
@@ -169,61 +188,53 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
       if (m.kind != obs::MetricKind::kCounter) {
         continue;
       }
-      std::string e = EventStart("telemetry: " + m.name);
-      e += StrFormat(",\"ph\":\"C\",\"pid\":%d,\"ts\":%s,\"args\":{\"count\":%llu}}",
-                     kPid, UsecStr(decoded.end_time).c_str(),
-                     static_cast<unsigned long long>(m.count));
-      events.push_back(std::move(e));
+      events.Next().Append("{\"name\":").JsonString("telemetry: " + m.name);
+      w.Append(",\"ph\":\"C\",\"pid\":1,\"ts\":").UsecFromNs(decoded.end_time);
+      w.Append(",\"args\":{\"count\":").Uint(m.count).Append("}}");
     }
   }
 
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    out += events[i];
-    if (i + 1 != events.size()) {
-      out += ",";
-    }
-    out += "\n";
-  }
-  out += "]}\n";
-  return out;
+  w.Append("\n]}\n");
+  return w.Take();
 }
-
-namespace {
-
-void FoldNode(const CallNode& node, const std::string& prefix,
-              std::map<std::string, std::uint64_t>* agg) {
-  std::string path = prefix;
-  if (node.fn != nullptr) {
-    if (node.inline_marker) {
-      return;  // markers carry no time
-    }
-    path += ";";
-    path += node.fn->name;
-    (*agg)[path] += static_cast<std::uint64_t>(node.Net());
-  }
-  for (const auto& child : node.Children()) {
-    if (child != nullptr) {
-      FoldNode(*child, path, agg);
-    }
-  }
-}
-
-}  // namespace
 
 std::string ExportFoldedStacks(const DecodedTrace& decoded) {
+  // One path buffer, extended by ";name" on the way down and cut back on
+  // the way up; markers carry no time and are skipped.
   std::map<std::string, std::uint64_t> agg;
+  std::string path;
+  auto folds = [](const CallNode& node) {
+    return node.fn != nullptr && !node.inline_marker;
+  };
   for (const auto& stack : decoded.stacks) {
-    if (stack->root != nullptr) {
-      FoldNode(*stack->root, StrFormat("context %d", stack->id), &agg);
+    if (stack->root == nullptr) {
+      continue;
     }
+    path = "context " + std::to_string(stack->id);
+    WalkTree(
+        *stack->root,
+        [&](const CallNode& node) {
+          if (folds(node)) {
+            path += ';';
+            path += node.fn->name;
+            agg[path] += static_cast<std::uint64_t>(node.Net());
+          }
+        },
+        [&](const CallNode& node) {
+          if (folds(node)) {
+            path.resize(path.size() - 1 - node.fn->name.size());
+          }
+        });
   }
-  std::string out;
-  for (const auto& [path, net_ns] : agg) {
-    out += path;
-    out += StrFormat(" %llu\n", static_cast<unsigned long long>(net_ns));
+  std::size_t bytes = 0;
+  for (const auto& [key, net_ns] : agg) {
+    bytes += key.size() + 2 + DecimalDigits(net_ns);
   }
-  return out;
+  TextWriter w(bytes);
+  for (const auto& [key, net_ns] : agg) {
+    w.Append(key).Append(' ').Uint(net_ns).Append('\n');
+  }
+  return w.Take();
 }
 
 namespace {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/base/strings.h"
+#include "src/base/text_writer.h"
 
 namespace hwprof {
 
@@ -50,14 +51,18 @@ const GroupRow* Grouping::Row(const std::string& group) const {
 }
 
 std::string Grouping::Format() const {
-  std::string out = "      Net  # calls   % real   % net   group\n";
+  std::size_t bytes = 64;
   for (const GroupRow& row : rows_) {
-    out += StrFormat("%9llu %8llu  %6.2f%%  %6.2f%%   %s\n",
-                     static_cast<unsigned long long>(row.net_us),
-                     static_cast<unsigned long long>(row.calls), row.pct_real, row.pct_net,
-                     row.group.c_str());
+    bytes += row.group.size() + 48;
   }
-  return out;
+  TextWriter w(bytes);
+  w.Append("      Net  # calls   % real   % net   group\n");
+  for (const GroupRow& row : rows_) {
+    w.Uint(row.net_us, 9).Append(' ').Uint(row.calls, 8).Append("  ");
+    w.Fixed2(row.pct_real, 6).Append("%  ").Fixed2(row.pct_net, 6).Append("%   ");
+    w.Append(row.group).Append('\n');
+  }
+  return w.Take();
 }
 
 std::map<std::string, std::string> Grouping::SplGroup(const DecodedTrace& trace,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/base/strings.h"
+#include "src/base/text_writer.h"
 
 namespace hwprof {
 
@@ -26,44 +26,42 @@ std::uint64_t Histogram::BucketFloor(std::size_t bucket) {
   return bucket == 0 ? 0 : (1ULL << (bucket - 1));
 }
 
+namespace {
+
+// The longest bar: a bucket holding the most calls.
+constexpr std::string_view kBar = "##################################################";
+
+}  // namespace
+
 std::string Histogram::Format(const std::string& title) const {
-  std::string out = StrFormat("%s (%llu calls)\n", title.c_str(),
-                              static_cast<unsigned long long>(Total()));
   std::uint64_t max_count = 1;
+  std::size_t rows = 0;
   for (std::uint64_t c : counts_) {
     max_count = std::max(max_count, c);
+    rows += c != 0 ? 1 : 0;
   }
+  TextWriter w(title.size() + 32 + rows * 88);
+  w.Append(title).Append(" (").Uint(Total()).Append(" calls)\n");
   for (std::size_t b = 0; b < kBuckets; ++b) {
     if (counts_[b] == 0) {
       continue;
     }
     const std::size_t bar =
         std::max<std::size_t>(1, static_cast<std::size_t>(counts_[b] * 50 / max_count));
-    out += StrFormat("%8llu us |%-50s| %llu\n",
-                     static_cast<unsigned long long>(BucketFloor(b)),
-                     std::string(bar, '#').c_str(),
-                     static_cast<unsigned long long>(counts_[b]));
+    w.Uint(BucketFloor(b), 8).Append(" us |").Left(kBar.substr(0, bar), 50);
+    w.Append("| ").Uint(counts_[b]).Append('\n');
   }
-  return out;
+  return w.Take();
 }
-
-namespace {
-
-void Walk(const CallNode& node, const std::string& name, Histogram* h) {
-  if (node.fn != nullptr && !node.inline_marker && node.fn->name == name) {
-    h->Add(ToWholeUsec(node.Net()));
-  }
-  for (const auto& child : node.Children()) {
-    Walk(*child, name, h);
-  }
-}
-
-}  // namespace
 
 Histogram Histogram::ForFunction(const DecodedTrace& trace, const std::string& name) {
   Histogram h;
   for (const auto& stack : trace.stacks) {
-    Walk(*stack->root, name, &h);
+    WalkTree(*stack->root, [&](const CallNode& node) {
+      if (node.fn != nullptr && !node.inline_marker && node.fn->name == name) {
+        h.Add(ToWholeUsec(node.Net()));
+      }
+    });
   }
   return h;
 }

@@ -3,38 +3,27 @@
 #include <algorithm>
 #include <map>
 
-#include "src/base/strings.h"
+#include "src/base/text_writer.h"
 
 namespace hwprof {
-namespace {
-
-void Walk(const CallNode& node, Nanoseconds* busy, Nanoseconds* idle,
-          std::uint64_t* calls, std::map<std::string, Nanoseconds>* per_fn) {
-  for (const auto& child : node.Children()) {
-    if (child->fn == nullptr) {
-      continue;
-    }
-    if (!child->inline_marker) {
-      ++*calls;
-      if (child->fn->kind == TagKind::kContextSwitch) {
-        *idle += child->Net();
-      } else {
-        *busy += child->Net();
-        (*per_fn)[child->fn->name] += child->Net();
-      }
-    }
-    Walk(*child, busy, idle, calls, per_fn);
-  }
-}
-
-}  // namespace
 
 ProcessReport::ProcessReport(const DecodedTrace& trace) {
   for (const auto& stack : trace.stacks) {
     ProcessRow row;
     row.stack_id = stack->id;
     std::map<std::string, Nanoseconds> per_fn;
-    Walk(*stack->root, &row.busy, &row.idle_hosted, &row.calls, &per_fn);
+    WalkTree(*stack->root, [&](const CallNode& node) {
+      if (node.fn == nullptr || node.inline_marker) {
+        return;
+      }
+      ++row.calls;
+      if (node.fn->kind == TagKind::kContextSwitch) {
+        row.idle_hosted += node.Net();
+      } else {
+        row.busy += node.Net();
+        per_fn[node.fn->name] += node.Net();
+      }
+    });
     for (const auto& [name, net] : per_fn) {
       if (net > row.top_net) {
         row.top_net = net;
@@ -59,25 +48,32 @@ Nanoseconds ProcessReport::TotalBusy() const {
 }
 
 std::string ProcessReport::Format(const DecodedTrace& trace) const {
-  const double run_us = static_cast<double>(ToWholeUsec(trace.RunTime()));
-  std::string out =
-      "  context   busy us  % of run   calls   idle-hosted us   top function\n";
+  std::size_t bytes = 160;
   for (const ProcessRow& row : rows_) {
-    out += StrFormat("  #%-6d %9llu %8.2f%% %8llu %15llu   %s (%llu us)\n", row.stack_id,
-                     static_cast<unsigned long long>(ToWholeUsec(row.busy)),
-                     run_us > 0 ? 100.0 * static_cast<double>(ToWholeUsec(row.busy)) / run_us
-                                : 0.0,
-                     static_cast<unsigned long long>(row.calls),
-                     static_cast<unsigned long long>(ToWholeUsec(row.idle_hosted)),
-                     row.top_function.c_str(),
-                     static_cast<unsigned long long>(ToWholeUsec(row.top_net)));
+    bytes += row.top_function.size() + 72;
+  }
+  TextWriter w(bytes);
+  const double run_us = static_cast<double>(ToWholeUsec(trace.RunTime()));
+  w.Append("  context   busy us  % of run   calls   idle-hosted us   top function\n");
+  for (const ProcessRow& row : rows_) {
+    const std::uint64_t busy_us = ToWholeUsec(row.busy);
+    w.Append("  #");
+    const std::size_t id = w.size();
+    w.Int(row.stack_id);
+    w.AlignLeft(id, 6);
+    w.Append(' ').Uint(busy_us, 9).Append(' ');
+    w.Fixed2(run_us > 0 ? 100.0 * static_cast<double>(busy_us) / run_us : 0.0, 8);
+    w.Append("% ").Uint(row.calls, 8).Append(' ').Uint(ToWholeUsec(row.idle_hosted), 15);
+    w.Append("   ").Append(row.top_function).Append(" (").Uint(ToWholeUsec(row.top_net));
+    w.Append(" us)\n");
   }
   if (trace.HasAnomalies()) {
-    std::string items;
-    auto item = [&items](const char* label, std::uint64_t n) {
+    w.Append("  capture anomalies: ");
+    bool first = true;
+    auto item = [&](const char* label, std::uint64_t n) {
       if (n > 0) {
-        items += StrFormat("%s%llu %s", items.empty() ? "" : ", ",
-                           static_cast<unsigned long long>(n), label);
+        w.Append(first ? "" : ", ").Uint(n).Append(' ').Append(label);
+        first = false;
       }
     };
     item("corrupt words", trace.corrupt_words);
@@ -87,9 +83,9 @@ std::string ProcessReport::Format(const DecodedTrace& trace) const {
     item("orphan exits", trace.orphan_exits);
     item("dropped events", trace.dropped_events);
     item("mid-trace unclosed", trace.MidTraceUnclosedEntries());
-    out += StrFormat("  capture anomalies: %s\n", items.c_str());
+    w.Append('\n');
   }
-  return out;
+  return w.Take();
 }
 
 }  // namespace hwprof

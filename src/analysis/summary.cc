@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/base/strings.h"
+#include "src/base/text_writer.h"
 
 namespace hwprof {
 
@@ -60,8 +60,26 @@ const SummaryRow* Summary::Row(const std::string& name) const {
   return nullptr;
 }
 
+namespace {
+
+constexpr std::string_view kRule =
+    "--------------------------------------------------------------------------\n";
+
+// "<label> = S sec U us (" for one header line.
+void WriteSecUs(std::string_view label, std::uint64_t us, TextWriter* w) {
+  w->Append(label).Append(" = ").Uint(us / 1000000).Append(" sec ");
+  w->Uint(us % 1000000).Append(" us (");
+}
+
+}  // namespace
+
 std::string Summary::Format(std::size_t top_n) const {
-  std::string out;
+  const std::size_t shown = top_n != 0 && top_n < rows_.size() ? top_n : rows_.size();
+  std::size_t bytes = 512;
+  for (std::size_t i = 0; i < shown; ++i) {
+    bytes += rows_[i].name.size() + 72;
+  }
+  TextWriter w(bytes);
   const double run_pct =
       elapsed_us_ > 0
           ? 100.0 * static_cast<double>(run_us_) / static_cast<double>(elapsed_us_)
@@ -70,56 +88,45 @@ std::string Summary::Format(std::size_t top_n) const {
       elapsed_us_ > 0
           ? 100.0 * static_cast<double>(idle_us_) / static_cast<double>(elapsed_us_)
           : 0.0;
-  out += StrFormat("Elapsed time = %llu sec %llu us (%zu tags)\n",
-                   static_cast<unsigned long long>(elapsed_us_ / 1000000),
-                   static_cast<unsigned long long>(elapsed_us_ % 1000000), tag_count_);
-  out += StrFormat("Accumulated run time = %llu sec %llu us (%.2f%%)\n",
-                   static_cast<unsigned long long>(run_us_ / 1000000),
-                   static_cast<unsigned long long>(run_us_ % 1000000), run_pct);
-  out += StrFormat("Idle time = %llu sec %llu us (%5.2f%%)\n",
-                   static_cast<unsigned long long>(idle_us_ / 1000000),
-                   static_cast<unsigned long long>(idle_us_ % 1000000), idle_pct);
-  out += "--------------------------------------------------------------------------\n";
-  out += "  Elapsed     Net  # calls     (max/avg/min)    % real   % net\n";
-  std::size_t emitted = 0;
-  for (const SummaryRow& row : rows_) {
-    if (top_n != 0 && emitted >= top_n) {
-      break;
-    }
-    out += StrFormat("%9llu %7llu %8llu %17s  %6.2f%%  %6.2f%%   %s\n",
-                     static_cast<unsigned long long>(row.elapsed_us),
-                     static_cast<unsigned long long>(row.net_us),
-                     static_cast<unsigned long long>(row.calls),
-                     StrFormat("(%llu/%llu/%llu)", static_cast<unsigned long long>(row.max_us),
-                               static_cast<unsigned long long>(row.avg_us),
-                               static_cast<unsigned long long>(row.min_us))
-                         .c_str(),
-                     row.pct_real, row.pct_net, row.name.c_str());
-    ++emitted;
+  WriteSecUs("Elapsed time", elapsed_us_, &w);
+  w.Uint(tag_count_).Append(" tags)\n");
+  WriteSecUs("Accumulated run time", run_us_, &w);
+  w.Fixed2(run_pct).Append("%)\n");
+  WriteSecUs("Idle time", idle_us_, &w);
+  w.Fixed2(idle_pct, 5).Append("%)\n");
+  w.Append(kRule);
+  w.Append("  Elapsed     Net  # calls     (max/avg/min)    % real   % net\n");
+  for (std::size_t i = 0; i < shown; ++i) {
+    const SummaryRow& row = rows_[i];
+    w.Uint(row.elapsed_us, 9).Append(' ').Uint(row.net_us, 7).Append(' ');
+    w.Uint(row.calls, 8).Append(' ');
+    const std::size_t field = w.size();
+    w.Append('(').Uint(row.max_us).Append('/').Uint(row.avg_us).Append('/');
+    w.Uint(row.min_us).Append(')');
+    w.AlignRight(field, 17);
+    w.Append("  ").Fixed2(row.pct_real, 6).Append("%  ").Fixed2(row.pct_net, 6);
+    w.Append("%   ").Append(row.name).Append('\n');
   }
   if (has_anomalies_) {
-    out += "--------------------------------------------------------------------------\n";
-    out += "Capture anomalies (salvaged):\n";
-    auto line = [&out](const char* label, std::uint64_t n) {
+    w.Append(kRule);
+    w.Append("Capture anomalies (salvaged):\n");
+    auto line = [&w](std::string_view label, std::uint64_t n) {
       if (n > 0) {
-        out += StrFormat("  %-21s = %llu\n", label,
-                         static_cast<unsigned long long>(n));
+        w.Append("  ").Left(label, 21).Append(" = ").Uint(n).Append('\n');
       }
     };
     line("corrupt words", corrupt_words_);
     line("impossible deltas", impossible_deltas_);
     if (wrap_ambiguous_gaps_ > 0) {
-      out += StrFormat("  %-21s = %llu (~%llu us unaccounted)\n",
-                       "wrap-ambiguous gaps",
-                       static_cast<unsigned long long>(wrap_ambiguous_gaps_),
-                       static_cast<unsigned long long>(unaccounted_us_));
+      w.Append("  ").Left("wrap-ambiguous gaps", 21).Append(" = ").Uint(wrap_ambiguous_gaps_);
+      w.Append(" (~").Uint(unaccounted_us_).Append(" us unaccounted)\n");
     }
     line("unknown tags", unknown_tags_);
     line("orphan exits", orphan_exits_);
     line("dropped events", dropped_events_);
     line("mid-trace unclosed", mid_trace_unclosed_);
   }
-  return out;
+  return w.Take();
 }
 
 }  // namespace hwprof

@@ -1,6 +1,7 @@
 #include "src/profhw/raw_trace.h"
 
 #include "src/base/strings.h"
+#include "src/base/text_writer.h"
 
 namespace hwprof {
 
@@ -113,20 +114,25 @@ bool Parse(std::string_view text, RawTrace* out, std::vector<TraceDiag>* diags,
 }  // namespace
 
 std::string RawTrace::Serialize() const {
-  std::string out = StrFormat("hwprof-raw v1 %u %llu %d", timer_bits,
-                              static_cast<unsigned long long>(timer_clock_hz),
-                              overflowed ? 1 : 0);
+  // The header's longest form plus each event's exact digits.
+  std::size_t bytes = 128;
+  for (const RawEvent& e : events) {
+    bytes += DecimalDigits(e.tag) + DecimalDigits(e.timestamp) + 2;
+  }
+  TextWriter w(bytes);
+  w.Append("hwprof-raw v1 ").Uint(timer_bits).Append(' ').Uint(timer_clock_hz);
+  w.Append(overflowed ? " 1" : " 0");
   if (dropped_events > 0) {
-    out += StrFormat(" dropped=%llu", static_cast<unsigned long long>(dropped_events));
+    w.Append(" dropped=").Uint(dropped_events);
   }
   if (capture_elapsed_ns > 0) {
-    out += StrFormat(" elapsed=%llu", static_cast<unsigned long long>(capture_elapsed_ns));
+    w.Append(" elapsed=").Uint(capture_elapsed_ns);
   }
-  out += "\n";
+  w.Append('\n');
   for (const RawEvent& e : events) {
-    out += StrFormat("%u %u\n", e.tag, e.timestamp);
+    w.Uint(e.tag).Append(' ').Uint(e.timestamp).Append('\n');
   }
-  return out;
+  return w.Take();
 }
 
 bool RawTrace::Deserialize(std::string_view text, RawTrace* out,

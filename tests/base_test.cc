@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -13,6 +15,7 @@
 #include "src/base/json.h"
 #include "src/base/rng.h"
 #include "src/base/strings.h"
+#include "src/base/text_writer.h"
 #include "src/base/thread_pool.h"
 #include "src/base/units.h"
 
@@ -160,6 +163,99 @@ TEST(Strings, ParseUintRejects) {
   EXPECT_FALSE(ParseUint("12x", &v));
   EXPECT_FALSE(ParseUint(" 1", &v));
   EXPECT_FALSE(ParseUint("99999999999999999999999", &v));
+}
+
+// --- TextWriter ------------------------------------------------------------------
+
+// Every conversion the renderers use, written by TextWriter and by
+// StrFormat for one value; the two must agree byte for byte.
+void ExpectWriterMatchesPrintf(std::uint64_t u, std::int64_t s, double f,
+                               const std::string& name) {
+  const auto llu = static_cast<unsigned long long>(u);
+  const auto lld = static_cast<long long>(s);
+  auto written = [](auto&& write) {
+    TextWriter w(0);
+    write(w);
+    return w.Take();
+  };
+  const std::string what = std::to_string(u) + " " + std::to_string(s) + " " + name;
+  EXPECT_EQ(written([&](TextWriter& w) { w.Uint(u); }), StrFormat("%llu", llu)) << what;
+  EXPECT_EQ(written([&](TextWriter& w) { w.Uint(u, 9); }), StrFormat("%9llu", llu)) << what;
+  EXPECT_EQ(written([&](TextWriter& w) { w.Uint(u, 10); }), StrFormat("%10llu", llu)) << what;
+  EXPECT_EQ(written([&](TextWriter& w) { w.ZeroPadded(u, 3); }), StrFormat("%03llu", llu))
+      << what;
+  EXPECT_EQ(written([&](TextWriter& w) { w.UsecFromNs(u); }),
+            StrFormat("%llu.%03llu", llu / 1000, llu % 1000))
+      << what;
+  EXPECT_EQ(written([&](TextWriter& w) { w.Int(s); }), StrFormat("%lld", lld)) << what;
+  EXPECT_EQ(written([&](TextWriter& w) { w.Signed(s, 9); }), StrFormat("%+9lld", lld)) << what;
+  EXPECT_EQ(written([&](TextWriter& w) { w.Left(name, 24); }),
+            StrFormat("%-24s", name.c_str()))
+      << what;
+  EXPECT_EQ(written([&](TextWriter& w) {
+              const std::size_t start = w.size();
+              w.Int(s);
+              w.AlignLeft(start, 6);
+            }),
+            StrFormat("%-6lld", lld))
+      << what;
+  EXPECT_EQ(written([&](TextWriter& w) {
+              w.Append("x ");
+              const std::size_t start = w.size();
+              w.Append('(').Uint(u).Append('/').Uint(u % 1000).Append(')');
+              w.AlignRight(start, 17);
+            }),
+            StrFormat("x %17s", StrFormat("(%llu/%llu)", llu, llu % 1000).c_str()))
+      << what;
+  EXPECT_EQ(written([&](TextWriter& w) { w.Fixed2(f); }), StrFormat("%.2f", f)) << what;
+  EXPECT_EQ(written([&](TextWriter& w) { w.Fixed2(f, 5); }), StrFormat("%5.2f", f)) << what;
+  EXPECT_EQ(written([&](TextWriter& w) { w.Fixed2(f, 6); }), StrFormat("%6.2f", f)) << what;
+  EXPECT_EQ(written([&](TextWriter& w) { w.Fixed2(f, 0, true); }), StrFormat("%+.2f", f))
+      << what;
+}
+
+TEST(TextWriter, MatchesPrintfOnFixedVectors) {
+  const std::uint64_t kUnsigned[] = {0, 9, 10, 999, 1000, UINT64_MAX};
+  const std::int64_t kSigned[] = {0, 9, -9, 10, -10, 999, -999, 1000, -1000,
+                                  123456789, -123456789, INT64_MAX, INT64_MIN};
+  const double kDoubles[] = {0.0, -0.0, 0.004, 0.005, 0.125, -0.125, 2.675, 99.995,
+                             100.0, -37.5, 1e15, -1e300};
+  const std::string kNames[] = {"", "a", "bcopy", "exactly_twenty_four_char",
+                                "a_name_longer_than_twenty_four_bytes"};
+  for (std::size_t i = 0; i < std::size(kUnsigned); ++i) {
+    for (std::size_t j = 0; j < std::size(kSigned); ++j) {
+      ExpectWriterMatchesPrintf(kUnsigned[i], kSigned[j], kDoubles[j % std::size(kDoubles)],
+                                kNames[(i + j) % std::size(kNames)]);
+    }
+  }
+}
+
+TEST(TextWriter, MatchesPrintfOnSeededRandomValues) {
+  Rng rng(20261019);
+  for (int i = 0; i < 2000; ++i) {
+    // Magnitudes spread over every digit count, not just 19-digit values.
+    const int bits = static_cast<int>(rng.NextBelow(65));
+    const std::uint64_t u = bits == 0 ? 0 : rng.Next() >> (64 - bits);
+    const auto s = static_cast<std::int64_t>(rng.Next() >> rng.NextBelow(64));
+    const double f = (rng.NextDouble() - 0.5) * std::pow(10.0, rng.NextInRange(0, 8));
+    const std::string name(rng.NextBelow(30), static_cast<char>('a' + rng.NextBelow(26)));
+    ExpectWriterMatchesPrintf(u, rng.NextBool(0.5) ? s : -s, f, name);
+  }
+}
+
+TEST(TextWriter, AppendsLiteralsAndJsonStrings) {
+  TextWriter w(16);
+  w.Append("{\"name\":").JsonString("a\"b\n").Append(',').Spaces(2).Append('}');
+  EXPECT_EQ(w.size(), 20u);
+  EXPECT_EQ(w.Take(), "{\"name\":\"a\\\"b\\n\",  }");
+}
+
+TEST(TextWriter, DecimalDigitsCountsWhatUintWrites) {
+  const std::uint64_t kValues[] = {0,   9,    10,         99,          100,
+                                   999, 1000, 9999999999, 10000000000, UINT64_MAX};
+  for (const std::uint64_t v : kValues) {
+    EXPECT_EQ(DecimalDigits(v), std::to_string(v).size()) << v;
+  }
 }
 
 // --- Units ---------------------------------------------------------------------------

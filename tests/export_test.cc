@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <cstdlib>
+#include <functional>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -19,6 +22,7 @@
 
 #include "src/analysis/decoder.h"
 #include "src/analysis/export.h"
+#include "src/analysis/histogram.h"
 #include "src/analysis/summary.h"
 #include "src/obs/telemetry.h"
 #include "src/profhw/fault_injection.h"
@@ -197,6 +201,81 @@ TEST(Export, FaultInjectedAnomalyInstantsMatchCounters) {
     want("mid_trace_unclosed_entries", decoded.MidTraceUnclosedEntries());
     EXPECT_EQ(totals.anomaly_counts, expected) << "seed " << seed;
   }
+}
+
+// Runs `fn` on a thread with a 64 KiB stack. A tree walk that recursed once
+// per level would overflow it at the depths below, whatever stack limit the
+// main thread was given.
+void RunOnSmallStack(const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 64 * 1024), 0);
+  pthread_t thread;
+  auto run = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, run, const_cast<std::function<void()>*>(&fn)), 0);
+  EXPECT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+}
+
+std::size_t CountOf(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// 300,000 nested bcopy calls, still open at the end of the capture. Every
+// report and export walks the tree without recursion. The folded stacks and
+// an unlimited trace report are quadratic in the depth by their formats
+// (each line repeats the whole stack, or indents by it), so the folded
+// stacks render a 2,000-deep tree and the trace report its first lines.
+TEST(Export, EveryRenderingWalksADeepTreeWithoutRecursion) {
+  TagFile names;
+  ASSERT_TRUE(TagFile::Parse("bcopy/502\n", &names));
+  constexpr std::size_t kDepth = 300'000;
+  const DecodedTrace d = Decoder::Decode(DeepNestingTrace(kDepth, 502, 3), names);
+  constexpr std::size_t kFoldDepth = 2'000;
+  const DecodedTrace shallow = Decoder::Decode(DeepNestingTrace(kFoldDepth, 502, 3), names);
+  RunOnSmallStack([&] {
+    const CallGraph graph(d);
+    const CallEdge* recursion = graph.Edge("bcopy", "bcopy");
+    ASSERT_NE(recursion, nullptr);
+    EXPECT_EQ(recursion->calls, kDepth - 1);
+    ASSERT_NE(graph.Edge(kSpontaneous, "bcopy"), nullptr);
+    EXPECT_NE(graph.Format(d, 3).find("bcopy  (300000 calls"), std::string::npos);
+
+    const ProcessReport processes(d);
+    ASSERT_EQ(processes.rows().size(), 1u);
+    EXPECT_EQ(processes.rows()[0].calls, kDepth);
+    EXPECT_NE(processes.Format(d).find("bcopy"), std::string::npos);
+
+    const Histogram histogram = Histogram::ForFunction(d, "bcopy");
+    EXPECT_EQ(histogram.Total(), kDepth);
+    EXPECT_NE(histogram.Format("bcopy").find("(300000 calls)"), std::string::npos);
+
+    const std::string json = ExportTraceEventJson(d);
+    EXPECT_EQ(CountOf(json, "\"ph\":\"X\""), kDepth);
+    EXPECT_EQ(json.compare(json.size() - 4, 4, "\n]}\n"), 0);
+
+    const std::string trace = TraceReport::Format(d, TraceReportOptions{.max_lines = 1000});
+    EXPECT_EQ(CountOf(trace, "\n"), 1001u);
+
+    const std::string folded = ExportFoldedStacks(shallow);
+    EXPECT_EQ(CountOf(folded, "\n"), kFoldDepth);
+    std::string deepest = "context 0";
+    for (std::size_t i = 0; i < kFoldDepth; ++i) {
+      deepest += ";bcopy";
+    }
+    EXPECT_EQ(folded.rfind("context 0;bcopy 3000\n", 0), 0u);
+    EXPECT_EQ(folded.compare(folded.size() - deepest.size() - 3, std::string::npos,
+                             deepest + " 0\n"),
+              0);
+  });
 }
 
 // The capture and names behind the Fig-3/Fig-4 goldens are themselves

@@ -11,6 +11,7 @@
 #include "src/profhw/smart_socket.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/workloads.h"
+#include "tests/trace_testutil.h"
 #include "tools/analyze_main.h"
 #include "tools/capture_main.h"
 #include "tools/hwprofd_main.h"
@@ -128,6 +129,22 @@ TEST(AnalyzeCli, AllReportsRun) {
   std::string error;
   EXPECT_EQ(RunCli({files.capture.c_str(), files.names.c_str(), "--summary", "10", "--trace",
                     "40", "--callgraph", "5", "--histogram", "bcopy", "--spl", "--processes"},
+                   &error),
+            0)
+      << error;
+}
+
+// A capture nested 300,000 calls deep: the tree walks behind these reports
+// use no recursion, so the tool exits normally instead of overflowing its
+// stack.
+TEST(AnalyzeCli, ReportsOnA300000DeepCaptureExitZero) {
+  const std::string capture = ::testing::TempDir() + "/deep.hwprof";
+  const std::string names = ::testing::TempDir() + "/deep.names";
+  ASSERT_TRUE(SaveCapture(DeepNestingTrace(300'000, 502, 3), capture, CaptureFormat::kBinary));
+  std::ofstream(names) << "bcopy/502\n";
+  std::string error;
+  EXPECT_EQ(RunCli({capture.c_str(), names.c_str(), "--callgraph", "3", "--processes",
+                    "--histogram", "bcopy"},
                    &error),
             0)
       << error;
