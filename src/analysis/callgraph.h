@@ -7,7 +7,6 @@
 #ifndef HWPROF_SRC_ANALYSIS_CALLGRAPH_H_
 #define HWPROF_SRC_ANALYSIS_CALLGRAPH_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -19,9 +18,10 @@ namespace hwprof {
 // process entry) are attributed to this pseudo-caller.
 inline constexpr const char* kSpontaneous = "<spontaneous>";
 
+// Names point into the trace's names file, which must outlive the graph.
 struct CallEdge {
-  std::string caller;
-  std::string callee;
+  std::string_view caller;  // kSpontaneous for top-level calls
+  std::string_view callee;
   std::uint64_t calls = 0;
   Nanoseconds callee_elapsed = 0;  // callee time (incl. its subtree) under this caller
 };
@@ -33,20 +33,25 @@ class CallGraph {
   const std::vector<CallEdge>& edges() const { return edges_; }
 
   // The edge caller->callee, or nullptr.
-  const CallEdge* Edge(const std::string& caller, const std::string& callee) const;
+  const CallEdge* Edge(std::string_view caller, std::string_view callee) const;
 
-  // All callers of `name`, heaviest first.
-  std::vector<const CallEdge*> CallersOf(const std::string& name) const;
-  // All callees of `name`, heaviest first.
-  std::vector<const CallEdge*> CalleesOf(const std::string& name) const;
+  // All callers of `name`, heaviest first (caller name breaks ties).
+  std::vector<const CallEdge*> CallersOf(std::string_view name) const;
+  // All callees of `name`, heaviest first (callee name breaks ties).
+  std::vector<const CallEdge*> CalleesOf(std::string_view name) const;
 
   // gprof-style listing: one block per function (sorted by net time),
   // callers above, callees below. `top_n` limits the functions (0 = all).
   std::string Format(const DecodedTrace& trace, std::size_t top_n = 0) const;
 
  private:
+  const TagFile* names_ = nullptr;
   std::vector<CallEdge> edges_;
-  std::map<std::pair<std::string, std::string>, std::size_t> index_;
+  // Edge ids by callee TagEntry::index and by caller slot (0 for
+  // <spontaneous>, else the caller's index + 1), each bucket sorted once in
+  // CallersOf's and CalleesOf's order.
+  std::vector<std::vector<std::uint32_t>> by_callee_;
+  std::vector<std::vector<std::uint32_t>> by_caller_;
 };
 
 }  // namespace hwprof

@@ -5,7 +5,6 @@
 #include <future>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -109,7 +108,8 @@ struct ShardResult {
   // Steps that close a carried call (index, id): merge points them at its
   // node.
   std::vector<std::pair<std::size_t, std::uint32_t>> carried_steps;
-  std::map<std::string, FuncStats> per_function;
+  // By TagEntry::index, grown to the highest function the shard closed.
+  std::vector<FuncStats> per_function;
   Nanoseconds idle = 0;
 };
 
@@ -123,41 +123,35 @@ struct SealedShard {
   ShardResult* result = nullptr;  // the engine's slot for this shard
 };
 
-// Folds one completed call into a per-function stats map. Sums and min/max
-// commute, so the fold order never shows in the result.
+// Adds `part`'s calls to `into`. Sums and min/max commute, so the order
+// calls and shards are added in never shows in the result.
+void AddCalls(const FuncStats& part, FuncStats* into) {
+  into->min_net = into->calls == 0 ? part.min_net : std::min(into->min_net, part.min_net);
+  into->max_net = into->calls == 0 ? part.max_net : std::max(into->max_net, part.max_net);
+  into->calls += part.calls;
+  into->net += part.net;
+  into->elapsed += part.elapsed;
+}
+
+// Folds one completed call into its function's row of `pf`.
 void FoldCall(const TagEntry* fn, Nanoseconds net, Nanoseconds elapsed,
-              std::map<std::string, FuncStats>* pf, Nanoseconds* idle) {
-  FuncStats& s = (*pf)[fn->name];
-  if (s.calls == 0) {
-    s.min_net = net;
-    s.max_net = net;
-  } else {
-    s.min_net = std::min(s.min_net, net);
-    s.max_net = std::max(s.max_net, net);
+              std::vector<FuncStats>* pf, Nanoseconds* idle) {
+  if (fn->index >= pf->size()) {
+    pf->resize(fn->index + 1);
   }
-  ++s.calls;
-  s.elapsed += elapsed;
-  s.net += net;
+  AddCalls(FuncStats{.calls = 1, .elapsed = elapsed, .net = net, .min_net = net, .max_net = net},
+           &(*pf)[fn->index]);
   if (fn->kind == TagKind::kContextSwitch) {
-    s.context_switch = true;
     *idle += net;
   }
 }
 
-void CombineStats(const std::map<std::string, FuncStats>& part,
-                  std::map<std::string, FuncStats>* into) {
-  for (const auto& [name, s] : part) {
-    FuncStats& d = (*into)[name];
-    if (d.calls == 0) {
-      d = s;
-      continue;
+// Adds a shard's rows to the trace's.
+void CombineStats(const std::vector<FuncStats>& part, std::vector<FuncStats>* into) {
+  for (std::size_t i = 0; i < part.size(); ++i) {
+    if (part[i].calls > 0) {
+      AddCalls(part[i], &(*into)[i]);
     }
-    d.calls += s.calls;
-    d.net += s.net;
-    d.elapsed += s.elapsed;
-    d.min_net = std::min(d.min_net, s.min_net);
-    d.max_net = std::max(d.max_net, s.max_net);
-    d.context_switch = d.context_switch || s.context_switch;
   }
 }
 
@@ -385,6 +379,9 @@ class DecodeEngine {
     if (opts_.shard_target_ops == 0) {
       opts_.shard_target_ops = 1;
     }
+    out_.names = &names;
+    out_.per_function.resize(names.size());
+    entered_.resize(names.size());
     current_ = NewStack();
     shard_start_snap_ = CaptureSnapshot();
   }
@@ -466,17 +463,15 @@ class DecodeEngine {
     SealShard(/*planning_continues=*/false);
     MergeSealed();
     DecodedTrace snap;
+    snap.names = out_.names;
     snap.start_time = out_.start_time;
     snap.end_time = out_.end_time;
     snap.event_count = known_events_;
     snap.unknown_tags = out_.unknown_tags;
     snap.orphan_exits = out_.orphan_exits;
     snap.unclosed_entries = out_.unclosed_entries;
+    snap.truncated_entries = out_.truncated_entries;
     snap.unknown_tag_counts = out_.unknown_tag_counts;
-    snap.orphan_exit_counts = out_.orphan_exit_counts;
-    snap.preopen_exit_counts = out_.preopen_exit_counts;
-    snap.unclosed_entry_counts = out_.unclosed_entry_counts;
-    snap.truncated_entry_counts = out_.truncated_entry_counts;
     snap.dropped_events = out_.dropped_events;
     snap.capture_gaps = out_.capture_gaps;
     snap.corrupt_words = out_.corrupt_words;
@@ -715,7 +710,7 @@ class DecodeEngine {
       return;
     }
     if (!ev.is_exit) {
-      entered_.insert(fn);
+      entered_[fn->index] = true;
       EmitOpen(current_, fn, ev.t);
       if (fn->kind == TagKind::kContextSwitch) {
         // The outgoing process is now suspended inside swtch. Idle-window
@@ -776,7 +771,7 @@ class DecodeEngine {
     for (std::size_t p = ch.size(); p-- > 0;) {
       if (ch[p].fn == ev.entry) {
         while (ch.size() - 1 > p) {
-          ++out_.unclosed_entry_counts[ch.back().fn->name];
+          ++out_.per_function[ch.back().fn->index].unclosed_entries;
           ++out_.unclosed_entries;
           EmitClose(current_, ev.t, /*forced=*/true, /*context_switch_in=*/false);
         }
@@ -801,10 +796,11 @@ class DecodeEngine {
   // signature of a capture that begins mid-call; record it in the tolerated
   // preopen subset as well as the general orphan counters.
   void NoteOrphanExit(const TagEntry* fn) {
+    FuncStats& s = out_.per_function[fn->index];
     ++out_.orphan_exits;
-    ++out_.orphan_exit_counts[fn->name];
-    if (entered_.count(fn) == 0) {
-      ++out_.preopen_exit_counts[fn->name];
+    ++s.orphan_exits;
+    if (!entered_[fn->index]) {
+      ++s.preopen_exits;
     }
   }
 
@@ -814,9 +810,11 @@ class DecodeEngine {
       while (!stack->chain.empty()) {
         const ChainFrame frame = stack->chain.back();
         stack->chain.pop_back();
+        FuncStats& s = out_.per_function[frame.fn->index];
         ++out_.unclosed_entries;
-        ++out_.unclosed_entry_counts[frame.fn->name];
-        ++out_.truncated_entry_counts[frame.fn->name];
+        ++out_.truncated_entries;
+        ++s.unclosed_entries;
+        ++s.truncated_entries;
         Emit(OpKind::kFinishClose, stack.get(), frame.fn, frame.node, out_.end_time);
       }
     }
@@ -1000,9 +998,9 @@ class DecodeEngine {
   PlanStack* current_ = nullptr;
   PlanStack* pending_swtch_ = nullptr;
   std::vector<PlanStack*> suspend_order_;
-  // Functions seen entering at least once; orphan exits of anything else are
-  // preopen (the capture began inside the call).
-  std::unordered_set<const TagEntry*> entered_;
+  // By TagEntry::index: functions seen entering at least once. Orphan exits
+  // of anything else are preopen (the capture began inside the call).
+  std::vector<bool> entered_;
   Nanoseconds envelope_ = 0;  // host wall-clock capture duration; 0 = none
   bool block_boundary_ = false;
   bool finished_ = false;

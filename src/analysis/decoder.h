@@ -142,13 +142,24 @@ struct TraceStep {
   bool context_switch_in = false;  // this exit resumes a different context
 };
 
+// One function's row of DecodedTrace::per_function.
 struct FuncStats {
   std::uint64_t calls = 0;
-  bool context_switch = false;  // '!'-tagged: net time is the idle account
   Nanoseconds elapsed = 0;  // inclusive of subroutines
   Nanoseconds net = 0;      // exclusive
   Nanoseconds min_net = 0;
   Nanoseconds max_net = 0;
+
+  // This function's share of DecodedTrace's orphan and unclosed totals,
+  // which hwprof_lint's trace cross-check turns into file:line findings.
+  // preopen_exits are orphan exits of a function never entered earlier in
+  // the trace: calls opened before the first captured event, the
+  // front-of-capture mirror of truncated_entries (entries closed by the end
+  // of the capture). Consumers judging trace health tolerate both.
+  std::uint64_t orphan_exits = 0;
+  std::uint64_t preopen_exits = 0;
+  std::uint64_t unclosed_entries = 0;
+  std::uint64_t truncated_entries = 0;
 
   Nanoseconds AvgNet() const { return calls == 0 ? 0 : net / calls; }
 };
@@ -166,7 +177,10 @@ struct DecodedTrace {
   // pointers (links, TraceStep::node) stay valid as the trace moves. Empty
   // in fold mode.
   std::vector<std::vector<CallNode>> arena;
-  std::map<std::string, FuncStats> per_function;
+  const TagFile* names = nullptr;  // decoded against; must outlive the trace, unmoved
+  // One row per names-file entry, by TagEntry::index; calls == 0 for a
+  // function never called.
+  std::vector<FuncStats> per_function;
 
   // Idle: accumulated net time of '!'-tagged (context switch) functions.
   Nanoseconds idle_time = 0;
@@ -177,28 +191,12 @@ struct DecodedTrace {
   std::uint64_t orphan_exits = 0;
   std::uint64_t unclosed_entries = 0;
 
-  // Attribution for the anomaly counts above, keyed by raw tag value
-  // (unknowns) or function name (orphans/unclosed). hwprof_lint's trace
-  // cross-check turns these into file:line findings against the static
-  // call-structure model instead of leaving them as silent drops.
+  // Entries closed by end-of-capture truncation: the tolerated subset of
+  // unclosed_entries.
+  std::uint64_t truncated_entries = 0;
+
+  // Unknown-tag events by raw tag value: they have no per_function row.
   std::map<std::uint16_t, std::uint64_t> unknown_tag_counts;
-  std::map<std::string, std::uint64_t> orphan_exit_counts;
-  std::map<std::string, std::uint64_t> unclosed_entry_counts;
-
-  // The subset of orphan_exit_counts whose function had no prior entry
-  // anywhere in the trace: exits of calls opened *before* the first captured
-  // event. That is the signature of a capture that begins mid-call — a board
-  // armed mid-run, or a shard/bank cut at a context-switch boundary — the
-  // front-of-capture mirror of truncated_entry_counts. Consumers judging
-  // trace health (hwprof_lint's cross-check) tolerate these the same way
-  // they tolerate end-of-capture truncation.
-  std::map<std::string, std::uint64_t> preopen_exit_counts;
-
-  // The subset of unclosed_entry_counts closed by end-of-capture truncation
-  // (the call stack in flight when the board stopped) rather than by a
-  // mid-trace anomaly. Stopping a capture mid-run is normal, so consumers
-  // judging trace health should subtract these from unclosed_entry_counts.
-  std::map<std::string, std::uint64_t> truncated_entry_counts;
 
   // Streaming-capture accounting: events the board dropped when the drain
   // lost the race (from drain-chunk headers), and the number of distinct
@@ -229,25 +227,28 @@ struct DecodedTrace {
   Nanoseconds RunTime() const {
     return ElapsedTotal() > idle_time ? ElapsedTotal() - idle_time : 0;
   }
-  const FuncStats* Stats(const std::string& name) const {
-    auto it = per_function.find(name);
-    return it == per_function.end() ? nullptr : &it->second;
+  // `name`'s stats, or nullptr when it was never called.
+  const FuncStats* Stats(std::string_view name) const {
+    const TagEntry* fn = names != nullptr ? names->FindByName(name) : nullptr;
+    return fn != nullptr && per_function[fn->index].calls > 0 ? &per_function[fn->index]
+                                                               : nullptr;
   }
 
-  // Entries closed by end-of-capture truncation (the tolerated subset of
-  // unclosed_entries).
-  std::uint64_t TruncationClosedEntries() const {
-    std::uint64_t n = 0;
-    for (const auto& [name, count] : truncated_entry_counts) {
-      n += count;
+  // Calls `fn(entry, stats)` for every function called at least once, in
+  // names-file order: readers that print rows sort them themselves.
+  template <typename Fn>
+  void ForEachFunction(Fn&& fn) const {
+    for (std::size_t i = 0; i < per_function.size(); ++i) {
+      if (per_function[i].calls > 0) {
+        fn(names->entries()[i], per_function[i]);
+      }
     }
-    return n;
   }
+
   // Entries force-closed by mid-trace mismatch recovery — unlike truncation
   // closes, these indicate real damage or tag imbalance.
   std::uint64_t MidTraceUnclosedEntries() const {
-    const std::uint64_t tolerated = TruncationClosedEntries();
-    return unclosed_entries > tolerated ? unclosed_entries - tolerated : 0;
+    return unclosed_entries > truncated_entries ? unclosed_entries - truncated_entries : 0;
   }
   // Anything a health-conscious consumer should hear about, as one number
   // (the --progress heartbeat and hwprofd's per-upload ledger). Deliberately
@@ -269,8 +270,8 @@ class Decoder {
   // Decodes `raw` against `names` with a StreamingDecoder in retain mode.
   // Never fails: malformed regions become anomaly counts.
   //
-  // Lifetime: the returned trace's CallNodes point into `names`' entries;
-  // `names` must outlive the DecodedTrace.
+  // Lifetime: the returned trace points at `names` and its entries; `names`
+  // must outlive the DecodedTrace and not move.
   static DecodedTrace Decode(const RawTrace& raw, const TagFile& names);
 };
 
@@ -319,7 +320,8 @@ class DecodeEngine;
 //     and min/max, so the result never depends on shard count or worker
 //     timing.
 //
-// Lifetime: `names` must outlive the decoder and any DecodedTrace it emits.
+// Lifetime: `names` must outlive the decoder and any DecodedTrace it emits,
+// and not move.
 class StreamingDecoder {
  public:
   explicit StreamingDecoder(const TagFile& names, unsigned timer_bits = 24,

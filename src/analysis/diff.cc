@@ -87,14 +87,15 @@ std::vector<DiffRow> BuildRows(const SideMap& a, const SideMap& b,
   return rows;
 }
 
+// The two sides join by name: their captures may use different names files.
 SideMap FunctionSide(const DecodedTrace& trace) {
   SideMap out;
-  for (const auto& [name, stats] : trace.per_function) {
-    if (stats.context_switch) {
-      continue;  // idle account; compared via the totals header
+  trace.ForEachFunction([&out](const TagEntry& fn, const FuncStats& stats) {
+    if (fn.kind == TagKind::kContextSwitch) {
+      return;  // idle account; compared via the totals header
     }
-    out[name] = Side{ToWholeUsec(stats.net), stats.calls};
-  }
+    out[fn.name] = Side{ToWholeUsec(stats.net), stats.calls};
+  });
   return out;
 }
 
@@ -102,11 +103,10 @@ SideMap EdgeSide(const DecodedTrace& trace) {
   SideMap out;
   const CallGraph graph(trace);
   for (const CallEdge& edge : graph.edges()) {
-    const auto it = trace.per_function.find(edge.callee);
-    if (it != trace.per_function.end() && it->second.context_switch) {
+    if (trace.names->FindByName(edge.callee)->kind == TagKind::kContextSwitch) {
       continue;  // callee elapsed is the idle account (see FunctionSide)
     }
-    Side& side = out[edge.caller + " -> " + edge.callee];
+    Side& side = out[std::string(edge.caller).append(" -> ").append(edge.callee)];
     side.us += ToWholeUsec(edge.callee_elapsed);
     side.calls += edge.calls;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,22 +24,6 @@ bool IsContextSwitchNode(const CallNode* node) {
          node->fn->kind == TagKind::kContextSwitch;
 }
 
-// `{"name":<escaped name>` for each function, escaped once per export.
-class NamePrefixes {
- public:
-  std::string_view Get(const TagEntry* fn) {
-    auto [it, inserted] = cache_.try_emplace(fn);
-    if (inserted) {
-      it->second = "{\"name\":";
-      AppendJsonString(fn->name, &it->second);
-    }
-    return it->second;
-  }
-
- private:
-  std::unordered_map<const TagEntry*, std::string> cache_;
-};
-
 // The "traceEvents" array body: events separated by ",\n".
 class EventList {
  public:
@@ -58,12 +41,19 @@ class EventList {
   bool first_ = true;
 };
 
+// `prefixes` holds `{"name":<escaped name>` by TagEntry::index, each
+// escaped the first time its function is emitted.
 void EmitNode(const CallNode& node, int tid, Nanoseconds trace_end,
-              NamePrefixes* names, EventList* events) {
+              std::vector<std::string>* prefixes, EventList* events) {
   if (node.fn == nullptr) {
     return;
   }
-  TextWriter& w = events->Next().Append(names->Get(node.fn));
+  std::string& prefix = (*prefixes)[node.fn->index];
+  if (prefix.empty()) {
+    prefix = "{\"name\":";
+    AppendJsonString(node.fn->name, &prefix);
+  }
+  TextWriter& w = events->Next().Append(prefix);
   if (node.inline_marker) {
     w.Append(",\"ph\":\"i\",\"pid\":1,\"tid\":").Int(tid).Append(",\"ts\":");
     w.UsecFromNs(node.entry_time).Append(",\"s\":\"t\"}");
@@ -137,11 +127,11 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
     w.Append(",\"args\":{\"name\":\"context ").Int(stack->id).Append("\"}}");
   }
 
-  NamePrefixes names;
+  std::vector<std::string> prefixes(decoded.per_function.size());
   for (const auto& stack : decoded.stacks) {
     if (stack->root != nullptr) {
       WalkTree(*stack->root, [&](const CallNode& node) {
-        EmitNode(node, stack->id + 1, decoded.end_time, &names, &events);
+        EmitNode(node, stack->id + 1, decoded.end_time, &prefixes, &events);
       });
     }
   }

@@ -12,21 +12,21 @@ Grouping::Grouping(const DecodedTrace& trace,
   const std::uint64_t elapsed_us = ToWholeUsec(trace.ElapsedTotal());
   const std::uint64_t run_us = ToWholeUsec(trace.RunTime());
   std::map<std::string, GroupRow> acc;
-  for (const auto& [name, stats] : trace.per_function) {
-    if (stats.context_switch) {
+  trace.ForEachFunction([&](const TagEntry& fn, const FuncStats& stats) {
+    if (fn.kind == TagKind::kContextSwitch) {
       // A '!'-tagged function's net time is the idle account; charging it to
       // an abstraction would drown the group it happens to live in (and make
       // idle shifts look like subsystem regressions). Summary omits these
       // rows for the same reason.
-      continue;
+      return;
     }
-    auto it = group_of.find(name);
+    auto it = group_of.find(fn.name);
     const std::string group = it == group_of.end() ? "other" : it->second;
     GroupRow& row = acc[group];
     row.group = group;
     row.net_us += ToWholeUsec(stats.net);
     row.calls += stats.calls;
-  }
+  });
   for (auto& [group, row] : acc) {
     row.pct_real = elapsed_us > 0 ? 100.0 * static_cast<double>(row.net_us) /
                                         static_cast<double>(elapsed_us)
@@ -68,12 +68,11 @@ std::string Grouping::Format() const {
 std::map<std::string, std::string> Grouping::SplGroup(const DecodedTrace& trace,
                                                       const std::string& label) {
   std::map<std::string, std::string> groups;
-  for (const auto& [name, stats] : trace.per_function) {
-    (void)stats;
-    if (StartsWith(name, "spl")) {
-      groups.emplace(name, label);
+  trace.ForEachFunction([&](const TagEntry& fn, const FuncStats&) {
+    if (StartsWith(fn.name, "spl")) {
+      groups.emplace(fn.name, label);
     }
-  }
+  });
   return groups;
 }
 

@@ -56,9 +56,10 @@ std::string Histogram::Format(const std::string& title) const {
 
 Histogram Histogram::ForFunction(const DecodedTrace& trace, const std::string& name) {
   Histogram h;
+  const TagEntry* fn = trace.names != nullptr ? trace.names->FindByName(name) : nullptr;
   for (const auto& stack : trace.stacks) {
     WalkTree(*stack->root, [&](const CallNode& node) {
-      if (node.fn != nullptr && !node.inline_marker && node.fn->name == name) {
+      if (node.fn == fn && !node.inline_marker) {
         h.Add(ToWholeUsec(node.Net()));
       }
     });

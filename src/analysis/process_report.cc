@@ -1,17 +1,20 @@
 #include "src/analysis/process_report.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
 
 #include "src/base/text_writer.h"
 
 namespace hwprof {
 
 ProcessReport::ProcessReport(const DecodedTrace& trace) {
+  // One context's net time per function, by TagEntry::index, and the
+  // functions it is nonzero for.
+  std::vector<Nanoseconds> per_fn(trace.per_function.size());
+  std::vector<const TagEntry*> touched;
   for (const auto& stack : trace.stacks) {
     ProcessRow row;
     row.stack_id = stack->id;
-    std::map<std::string, Nanoseconds> per_fn;
     WalkTree(*stack->root, [&](const CallNode& node) {
       if (node.fn == nullptr || node.inline_marker) {
         return;
@@ -19,17 +22,24 @@ ProcessReport::ProcessReport(const DecodedTrace& trace) {
       ++row.calls;
       if (node.fn->kind == TagKind::kContextSwitch) {
         row.idle_hosted += node.Net();
-      } else {
-        row.busy += node.Net();
-        per_fn[node.fn->name] += node.Net();
+        return;
       }
+      row.busy += node.Net();
+      Nanoseconds& net = per_fn[node.fn->index];
+      if (net == 0 && node.Net() > 0) {
+        touched.push_back(node.fn);
+      }
+      net += node.Net();
     });
-    for (const auto& [name, net] : per_fn) {
-      if (net > row.top_net) {
+    // The heaviest function; equal nets go to the first name.
+    for (const TagEntry* fn : touched) {
+      const Nanoseconds net = std::exchange(per_fn[fn->index], 0);
+      if (net > row.top_net || (net == row.top_net && fn->name < row.top_function)) {
         row.top_net = net;
-        row.top_function = name;
+        row.top_function = fn->name;
       }
     }
+    touched.clear();
     if (row.calls > 0) {
       rows_.push_back(std::move(row));
     }

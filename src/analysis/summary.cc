@@ -22,15 +22,15 @@ Summary::Summary(const DecodedTrace& trace) {
   dropped_events_ = trace.dropped_events;
   mid_trace_unclosed_ = trace.MidTraceUnclosedEntries();
 
-  for (const auto& [name, stats] : trace.per_function) {
-    if (stats.context_switch) {
+  trace.ForEachFunction([&](const TagEntry& fn, const FuncStats& stats) {
+    if (fn.kind == TagKind::kContextSwitch) {
       // swtch's net time *is* the idle account in the header; listing it as
       // a row (as a share of non-idle time!) would be nonsense. The paper's
       // Figure 3 likewise omits it.
-      continue;
+      return;
     }
     SummaryRow row;
-    row.name = name;
+    row.name = fn.name;
     row.elapsed_us = ToWholeUsec(stats.elapsed);
     row.net_us = ToWholeUsec(stats.net);
     row.calls = stats.calls;
@@ -45,7 +45,7 @@ Summary::Summary(const DecodedTrace& trace) {
                                     static_cast<double>(run_us_)
                               : 0.0;
     rows_.push_back(std::move(row));
-  }
+  });
   std::sort(rows_.begin(), rows_.end(), [](const SummaryRow& a, const SummaryRow& b) {
     return a.net_us != b.net_us ? a.net_us > b.net_us : a.name < b.name;
   });

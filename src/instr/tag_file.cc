@@ -282,6 +282,7 @@ bool TagFile::Insert(TagEntry entry, std::string* why) {
     }
   }
   const std::size_t index = entries_.size();
+  entry.index = static_cast<std::uint32_t>(index);
   by_name_.emplace(entry.name, index);
   by_tag_.emplace(entry.entry_tag(), index);
   if (entry.IsFunctionLike()) {

@@ -48,6 +48,9 @@ struct TagEntry {
   std::uint16_t tag = 0;
   TagKind kind = TagKind::kFunction;
   std::string group;  // abstraction label from `group=`; empty = ungrouped
+  // Position in its TagFile's entries(), set on insertion: the dense key of
+  // every per-function table the analysis keeps.
+  std::uint32_t index = 0;
 
   bool IsFunctionLike() const { return kind != TagKind::kInline; }
   std::uint16_t entry_tag() const { return tag; }

@@ -111,20 +111,23 @@ void CrossCheckTrace(const DecodedTrace& trace, const TagFile& names,
     }
     findings->push_back(std::move(f));
   }
-  for (const auto& [name, count] : trace.orphan_exit_counts) {
+  // Functions with an orphan or unclosed excess, by name.
+  std::map<std::string, const FuncStats*> imbalanced;
+  for (std::size_t i = 0; i < trace.per_function.size(); ++i) {
+    const FuncStats& s = trace.per_function[i];
+    if (s.orphan_exits > s.preopen_exits || s.unclosed_entries > s.truncated_entries) {
+      imbalanced.emplace(trace.names->entries()[i].name, &s);
+    }
+  }
+  for (const auto& [name, s] : imbalanced) {
     // Exits of calls opened before the first captured event are the
     // front-of-capture mirror of truncation: a board armed mid-run, or a
     // shard/bank cut at a context-switch boundary. Only the excess over the
     // preopen count is a genuine mid-trace imbalance.
-    std::uint64_t preopen = 0;
-    const auto it = trace.preopen_exit_counts.find(name);
-    if (it != trace.preopen_exit_counts.end()) {
-      preopen = it->second;
-    }
-    if (count <= preopen) {
+    if (s->orphan_exits <= s->preopen_exits) {
       continue;
     }
-    const std::uint64_t excess = count - preopen;
+    const std::uint64_t excess = s->orphan_exits - s->preopen_exits;
     findings->push_back(AttributedFinding(
         model, "trace-orphan-exit", name,
         StrFormat("'%s' emitted %llu exit%s with no matching entry in the "
@@ -132,19 +135,14 @@ void CrossCheckTrace(const DecodedTrace& trace, const TagFile& names,
                   name.c_str(), static_cast<unsigned long long>(excess),
                   excess == 1 ? "" : "s")));
   }
-  for (const auto& [name, count] : trace.unclosed_entry_counts) {
+  for (const auto& [name, s] : imbalanced) {
     // The call stack in flight when the capture stopped is truncated, not
     // anomalous: every real capture ends mid-run. Only the excess over the
     // truncation count is a genuine mid-trace imbalance.
-    std::uint64_t truncated = 0;
-    const auto it = trace.truncated_entry_counts.find(name);
-    if (it != trace.truncated_entry_counts.end()) {
-      truncated = it->second;
-    }
-    if (count <= truncated) {
+    if (s->unclosed_entries <= s->truncated_entries) {
       continue;
     }
-    const std::uint64_t excess = count - truncated;
+    const std::uint64_t excess = s->unclosed_entries - s->truncated_entries;
     findings->push_back(AttributedFinding(
         model, "trace-unclosed-entry", name,
         StrFormat("'%s' left %llu entr%s never closed by an exit in the "

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/base/strings.h"
+#include "src/base/text_writer.h"
 #include "src/obs/timeseries.h"
 
 namespace hwprof {
@@ -11,91 +12,67 @@ namespace service {
 
 namespace {
 
+// One "key: value" line of a reply.
+void Line(std::string_view key, std::uint64_t v, TextWriter* w) {
+  w->Append(key).Append(": ").Uint(v).Append('\n');
+}
+
 std::string StatusResponse(IngestService& service) {
   const ServiceStats s = service.Stats();
-  std::string out = "hwprofd status\n";
-  out += StrFormat("uptime_ns: %llu\n",
-                   static_cast<unsigned long long>(service.NowNs() -
-                                                   service.start_t_ns()));
-  out += StrFormat("workers: %u\n", service.workers());
-  out += StrFormat("health: %s (%s)\n", HealthName(service.health()),
-                   service.HealthDetail().c_str());
-  out += StrFormat("offered: %llu\n",
-                   static_cast<unsigned long long>(s.offered));
-  out += StrFormat("accepted: %llu\n",
-                   static_cast<unsigned long long>(s.accepted));
-  out += StrFormat(
-      "dropped: %llu (empty=%llu oversize=%llu queue_full=%llu "
-      "draining=%llu)\n",
-      static_cast<unsigned long long>(s.DroppedTotal()),
-      static_cast<unsigned long long>(
-          s.dropped[static_cast<std::size_t>(DropReason::kEmpty)]),
-      static_cast<unsigned long long>(
-          s.dropped[static_cast<std::size_t>(DropReason::kOversize)]),
-      static_cast<unsigned long long>(
-          s.dropped[static_cast<std::size_t>(DropReason::kQueueFull)]),
-      static_cast<unsigned long long>(
-          s.dropped[static_cast<std::size_t>(DropReason::kDraining)]));
-  out += StrFormat("malformed: %llu\n",
-                   static_cast<unsigned long long>(s.malformed));
-  out += StrFormat("summaries: %llu\n",
-                   static_cast<unsigned long long>(s.summaries));
-  out += StrFormat("cache: hits=%llu entries=%zu\n",
-                   static_cast<unsigned long long>(s.cache_hits),
-                   s.cache_entries);
-  out += StrFormat("decoded_events: %llu\n",
-                   static_cast<unsigned long long>(s.decoded_events));
-  out += StrFormat("anomalies: %llu\n",
-                   static_cast<unsigned long long>(s.anomalies));
-  out += StrFormat("queue: depth=%zu bytes=%zu peak_bytes=%zu\n",
-                   s.queue_depth, s.queue_bytes, s.peak_queue_bytes);
-  out += StrFormat("tenants: %zu\n", s.tenants.size());
-  out += StrFormat("events_logged: %llu\n",
-                   static_cast<unsigned long long>(
-                       service.event_log().appended()));
-  out += StrFormat("timeseries: samples=%zu capacity=%zu\n",
-                   service.timeseries().size(),
-                   service.timeseries().capacity());
-  return out;
+  TextWriter w(640);
+  w.Append("hwprofd status\n");
+  Line("uptime_ns", service.NowNs() - service.start_t_ns(), &w);
+  Line("workers", service.workers(), &w);
+  w.Append("health: ").Append(HealthName(service.health())).Append(" (");
+  w.Append(service.HealthDetail()).Append(")\n");
+  Line("offered", s.offered, &w);
+  Line("accepted", s.accepted, &w);
+  w.Append("dropped: ").Uint(s.DroppedTotal());
+  for (int r = 1; r < kDropReasonCount; ++r) {  // every reason but kNone
+    w.Append(r == 1 ? " (" : " ").Append(DropReasonName(static_cast<DropReason>(r)));
+    w.Append('=').Uint(s.dropped[r]);
+  }
+  w.Append(")\n");
+  Line("malformed", s.malformed, &w);
+  Line("summaries", s.summaries, &w);
+  w.Append("cache: hits=").Uint(s.cache_hits).Append(" entries=").Uint(s.cache_entries);
+  w.Append('\n');
+  Line("decoded_events", s.decoded_events, &w);
+  Line("anomalies", s.anomalies, &w);
+  w.Append("queue: depth=").Uint(s.queue_depth).Append(" bytes=").Uint(s.queue_bytes);
+  w.Append(" peak_bytes=").Uint(s.peak_queue_bytes).Append('\n');
+  Line("tenants", s.tenants.size(), &w);
+  Line("events_logged", service.event_log().appended(), &w);
+  w.Append("timeseries: samples=").Uint(service.timeseries().size());
+  w.Append(" capacity=").Uint(service.timeseries().capacity()).Append('\n');
+  return w.Take();
 }
 
 std::string TenantsResponse(IngestService& service) {
   const ServiceStats s = service.Stats();
-  std::string out =
-      "tenant offered accepted dropped summaries malformed cache_hits "
-      "events anomalies last_ingest\n";
+  TextWriter w(96 + 96 * s.tenants.size());
+  w.Append("tenant offered accepted dropped summaries malformed cache_hits "
+           "events anomalies last_ingest\n");
   for (const auto& [name, tc] : s.tenants) {
-    out += StrFormat(
-        "%s %llu %llu %llu %llu %llu %llu %llu %llu %llu\n", name.c_str(),
-        static_cast<unsigned long long>(tc.offered),
-        static_cast<unsigned long long>(tc.accepted),
-        static_cast<unsigned long long>(tc.DroppedTotal()),
-        static_cast<unsigned long long>(tc.summaries),
-        static_cast<unsigned long long>(tc.malformed),
-        static_cast<unsigned long long>(tc.cache_hits),
-        static_cast<unsigned long long>(tc.decoded_events),
-        static_cast<unsigned long long>(tc.anomalies),
-        static_cast<unsigned long long>(tc.last_ingest_id));
+    w.Append(name);
+    for (const std::uint64_t v :
+         {tc.offered, tc.accepted, tc.DroppedTotal(), tc.summaries, tc.malformed,
+          tc.cache_hits, tc.decoded_events, tc.anomalies, tc.last_ingest_id}) {
+      w.Append(' ').Uint(v);
+    }
+    w.Append('\n');
   }
-  return out;
+  return w.Take();
 }
 
-std::string EventsResponse(IngestService& service, std::size_t n) {
+// One JSON object per event and line, then OK.
+std::string EventLines(const std::vector<LogEvent>& events) {
   std::string out;
-  for (const LogEvent& e : service.event_log().Tail(n)) {
+  for (const LogEvent& e : events) {
     out += FormatLogEventJson(e);
     out += "\n";
   }
-  return out;
-}
-
-std::string IngestResponse(IngestService& service, std::uint64_t id) {
-  std::string out;
-  for (const LogEvent& e : service.event_log().ForIngest(id)) {
-    out += FormatLogEventJson(e);
-    out += "\n";
-  }
-  return out;
+  return out + "OK\n";
 }
 
 }  // namespace
@@ -115,9 +92,7 @@ std::string HandleOpsCommand(IngestService& service, const std::string& line) {
     return StatusResponse(service) + "OK\n";
   }
   if (cmd == "HEALTH" && words.size() == 1) {
-    return StrFormat("%s %s\n", HealthName(service.health()),
-                     service.HealthDetail().c_str()) +
-           "OK\n";
+    return std::string(HealthName(service.health())) + " " + service.HealthDetail() + "\nOK\n";
   }
   if (cmd == "TENANTS" && words.size() == 1) {
     return TenantsResponse(service) + "OK\n";
@@ -143,17 +118,16 @@ std::string HandleOpsCommand(IngestService& service, const std::string& line) {
     if (words.size() == 2 && !ParseUint(words[1], &n)) {
       return "ERR EVENTS count must be a non-negative integer\n";
     }
-    return EventsResponse(service, static_cast<std::size_t>(n)) + "OK\n";
+    return EventLines(service.event_log().Tail(static_cast<std::size_t>(n)));
   }
   if (cmd == "INGEST" && words.size() == 2) {
     std::uint64_t id = 0;
     if (!ParseUint(words[1], &id)) {
       return "ERR INGEST id must be a non-negative integer\n";
     }
-    return IngestResponse(service, id) + "OK\n";
+    return EventLines(service.event_log().ForIngest(id));
   }
-  return StrFormat("ERR unknown command: %.*s\n",
-                   static_cast<int>(cmd.size()), cmd.data());
+  return std::string("ERR unknown command: ").append(cmd).append("\n");
 }
 
 }  // namespace service

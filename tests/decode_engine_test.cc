@@ -178,11 +178,11 @@ TEST_P(DecodeEngineFuzzTest, SnapshotsBetweenChunksLeaveTheResultIntact) {
   const DecodedTrace oracle = ReferenceDecode(raw, names);
   auto stats = [](const DecodedTrace& d) {
     std::string out = "idle=" + std::to_string(d.idle_time);
-    for (const auto& [name, s] : d.per_function) {
-      out += "|" + name + ":" + std::to_string(s.calls) + "," + std::to_string(s.elapsed) +
-             "," + std::to_string(s.net) + "," + std::to_string(s.min_net) + "," +
-             std::to_string(s.max_net);
-    }
+    d.ForEachFunction([&out](const TagEntry& fn, const FuncStats& s) {
+      out += "|" + fn.name + ":" + std::to_string(s.calls) + "," +
+             std::to_string(s.elapsed) + "," + std::to_string(s.net) + "," +
+             std::to_string(s.min_net) + "," + std::to_string(s.max_net);
+    });
     return out;
   };
   for (const std::size_t target : {std::size_t{1}, std::size_t{64}}) {
@@ -282,7 +282,8 @@ TEST(DecodeEngine, DeepNestingDecodesInLinearTime) {
       EXPECT_EQ(s->max_net, kGap);
       EXPECT_EQ(s->min_net, 0u);
       EXPECT_EQ(d.unclosed_entries, kDepth);
-      EXPECT_EQ(d.truncated_entry_counts.at("bcopy"), kDepth);
+      EXPECT_EQ(d.truncated_entries, kDepth);
+      EXPECT_EQ(s->truncated_entries, kDepth);
       EXPECT_EQ(ArenaNodeCount(d), retain ? kDepth : 0u);
       EXPECT_EQ(d.steps.size(), retain ? kDepth : 0u);
     }  // the trace is freed inside the timed region
@@ -301,7 +302,7 @@ TEST(DecodeEngine, EmptyFeedIsHarmless) {
     decoder.FeedChunk(TraceChunk{});
     const DecodedTrace d = decoder.Finish();
     EXPECT_EQ(d.event_count, 0u);
-    EXPECT_TRUE(d.per_function.empty());
+    EXPECT_EQ(CalledFunctions(d), 0u);
   }
 }
 

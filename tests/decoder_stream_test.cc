@@ -253,7 +253,9 @@ TEST(StreamingDecoder, EmptyStreamIsHarmless) {
   const DecodedTrace d = dec.Finish();
   EXPECT_EQ(d.event_count, 0u);
   EXPECT_EQ(d.ElapsedTotal(), 0u);
-  EXPECT_TRUE(d.per_function.empty());
+  for (const FuncStats& stats : d.per_function) {
+    EXPECT_EQ(stats.calls, 0u);
+  }
 }
 
 TEST(StreamingDecoder, DropAccountingCountsGapsOnce) {

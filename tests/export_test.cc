@@ -124,12 +124,12 @@ TEST(Export, SliceTotalsMatchDecoderAndSummary) {
 
   // Every per-function accumulator recovered from the JSON text must equal
   // the decoder's, nanosecond for nanosecond, and cover every function.
-  ASSERT_EQ(totals.net_ns.size(), decoded.per_function.size());
-  for (const auto& [name, stats] : decoded.per_function) {
-    ASSERT_TRUE(totals.net_ns.count(name)) << name << " missing from export";
-    EXPECT_EQ(totals.net_ns.at(name), stats.net) << name;
-    EXPECT_EQ(totals.elapsed_ns.at(name), stats.elapsed) << name;
-  }
+  ASSERT_EQ(totals.net_ns.size(), CalledFunctions(decoded));
+  decoded.ForEachFunction([&totals](const TagEntry& fn, const FuncStats& stats) {
+    ASSERT_TRUE(totals.net_ns.count(fn.name)) << fn.name << " missing from export";
+    EXPECT_EQ(totals.net_ns.at(fn.name), stats.net) << fn.name;
+    EXPECT_EQ(totals.elapsed_ns.at(fn.name), stats.elapsed) << fn.name;
+  });
 
   // And therefore the Figure-3 summary rows agree (whole microseconds).
   const Summary summary(decoded);
@@ -155,7 +155,7 @@ TEST(Export, FoldedStacksSumToDecoderNetTotal) {
   }
   EXPECT_GT(line_count, 10u);
   std::uint64_t decoder_total = 0;
-  for (const auto& [name, stats] : decoded.per_function) {
+  for (const FuncStats& stats : decoded.per_function) {
     decoder_total += stats.net;
   }
   EXPECT_EQ(folded_total, decoder_total);

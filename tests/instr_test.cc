@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
+#include "src/base/rng.h"
+#include "src/base/strings.h"
 #include "src/instr/instrumenter.h"
 #include "src/instr/linker.h"
 #include "src/instr/profile_scope.h"
@@ -214,6 +219,128 @@ TEST(TagFile, MergeRejectsCollisionsAtomically) {
   ASSERT_TRUE(TagFile::Parse("ok/200\nfoo/300\n", &b));
   EXPECT_FALSE(a.Merge(b));
   EXPECT_EQ(a.size(), 1u);  // nothing from b leaked in
+}
+
+// --- Seeded mutations of a real names file -----------------------------------
+
+// One seeded damage to `text`: a byte flip, a splice, a truncation, a
+// duplicated line (so a duplicated name and tags), a duplicated name or tag
+// on its own, an odd tag, or a broken `group=` annotation.
+void Mutate(Rng& rng, std::string* text) {
+  static constexpr std::string_view kBytes = "0123456789/!=# \t\ngroup_x";
+  std::vector<std::string> lines;
+  for (std::string_view line : Split(*text, '\n')) {
+    lines.emplace_back(line);
+  }
+  auto any_line = [&]() -> std::string& { return lines[rng.NextBelow(lines.size())]; };
+  switch (rng.NextBelow(8)) {
+    case 0:  // flip one byte
+      if (!text->empty()) {
+        (*text)[rng.NextBelow(text->size())] =
+            rng.NextBool(0.5) ? kBytes[rng.NextBelow(kBytes.size())]
+                              : static_cast<char>(rng.NextBelow(256));
+      }
+      return;
+    case 1: {  // splice a run of the file in somewhere else
+      const std::size_t from = rng.NextBelow(text->size() + 1);
+      const std::string run = text->substr(from, rng.NextBelow(64));
+      text->insert(rng.NextBelow(text->size() + 1), run);
+      return;
+    }
+    case 2:  // truncate
+      text->resize(rng.NextBelow(text->size() + 1));
+      return;
+    case 3:  // a whole line twice
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(rng.NextBelow(lines.size())),
+                   any_line());
+      break;
+    case 4: {  // a second entry with a taken name or a taken tag
+      const std::string& line = any_line();
+      const std::size_t slash = line.find('/');
+      if (slash == std::string::npos) {
+        return;
+      }
+      lines.push_back(rng.NextBool(0.5) ? line.substr(0, slash) + "/60000"
+                                        : "dup" + line.substr(slash));
+      break;
+    }
+    case 5: {  // an odd value
+      std::string& line = any_line();
+      const std::size_t slash = line.find('/');
+      if (slash == std::string::npos) {
+        return;
+      }
+      line = line.substr(0, slash + 1) + std::to_string(2 * rng.NextBelow(30000) + 1);
+      break;
+    }
+    default: {  // a broken group annotation
+      static constexpr std::string_view kGroups[] = {
+          " group=",  " group",      " grp=vm",       " group=a=b",
+          " group=v/m", " group=#", " group=a group=b", "\tgroup=ok",
+      };
+      any_line() += kGroups[rng.NextBelow(std::size(kGroups))];
+      break;
+    }
+  }
+  text->clear();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    *text += lines[i];
+    if (i + 1 < lines.size()) {
+      *text += '\n';
+    }
+  }
+}
+
+TEST(TagFile, SeededMutationsParseToDenseIndicesOrLineDiagnostics) {
+  std::ifstream in(std::string(HWPROF_TEST_DIR) + "/golden/net_receive.names");
+  std::stringstream original;
+  original << in.rdbuf();
+  ASSERT_FALSE(original.str().empty());
+  std::size_t parsed = 0;
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    Rng rng(seed);
+    std::string text = original.str();
+    for (std::uint64_t n = 1 + rng.NextBelow(3); n > 0; --n) {
+      Mutate(rng, &text);
+    }
+    TagFile file;
+    std::vector<TagDiag> diags;
+    if (!TagFile::Parse(text, &file, &diags)) {
+      ASSERT_FALSE(diags.empty()) << "seed " << seed;
+      const int lines = static_cast<int>(SplitLines(text).size());
+      for (const TagDiag& d : diags) {
+        ASSERT_GE(d.line, 1) << "seed " << seed << ": " << d.message;
+        ASSERT_LE(d.line, lines) << "seed " << seed << ": " << d.message;
+      }
+      continue;
+    }
+    ++parsed;
+    ASSERT_TRUE(diags.empty()) << "seed " << seed;
+    for (std::size_t i = 0; i < file.size(); ++i) {
+      const TagEntry& e = file.entries()[i];
+      ASSERT_EQ(e.index, i) << "seed " << seed;
+      ASSERT_EQ(file.FindByName(e.name), &e) << "seed " << seed;
+      ASSERT_EQ(file.FindByTag(e.entry_tag()), &e) << "seed " << seed;
+      if (e.IsFunctionLike()) {
+        ASSERT_EQ(file.FindByTag(e.exit_tag()), &e) << "seed " << seed;
+      }
+    }
+    TagFile again;
+    ASSERT_TRUE(TagFile::Parse(file.Format(), &again)) << "seed " << seed;
+    ASSERT_EQ(again.size(), file.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < file.size(); ++i) {
+      const TagEntry& a = file.entries()[i];
+      const TagEntry& b = again.entries()[i];
+      ASSERT_EQ(b.name, a.name) << "seed " << seed;
+      ASSERT_EQ(b.tag, a.tag) << "seed " << seed;
+      ASSERT_EQ(b.kind, a.kind) << "seed " << seed;
+      ASSERT_EQ(b.group, a.group) << "seed " << seed;
+      ASSERT_EQ(b.index, a.index) << "seed " << seed;
+    }
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(parsed, 100u);
+  EXPECT_LT(parsed, 2900u);
 }
 
 // --- Instrumenter ---------------------------------------------------------------------

@@ -31,12 +31,11 @@ void CheckCaptureInvariants(const DecodedTrace& d) {
   // most the elapsed total.
   EXPECT_EQ(d.RunTime() + d.idle_time, d.ElapsedTotal());
   Nanoseconds total_net = 0;
-  for (const auto& [name, stats] : d.per_function) {
-    (void)name;
+  d.ForEachFunction([&total_net](const TagEntry&, const FuncStats& stats) {
     total_net += stats.net;
     EXPECT_GE(stats.elapsed, stats.net);
     EXPECT_LE(stats.min_net, stats.max_net);
-  }
+  });
   EXPECT_LE(total_net, d.ElapsedTotal());
 }
 
@@ -233,12 +232,11 @@ TEST(Integration, SelectiveMicroProfilingLimitsEvents) {
   RawTrace raw = tb.StopAndUpload();
   ASSERT_GT(raw.events.size(), 0u);
   DecodedTrace d = Decoder::Decode(raw, tb.tags());
-  for (const auto& [name, stats] : d.per_function) {
-    (void)stats;
-    const FuncInfo* info = tb.instr().Find(name);
+  d.ForEachFunction([&tb](const TagEntry& fn, const FuncStats&) {
+    const FuncInfo* info = tb.instr().Find(fn.name);
     ASSERT_NE(info, nullptr);
-    EXPECT_EQ(info->subsys, Subsys::kVm) << name << " leaked into a VM-only capture";
-  }
+    EXPECT_EQ(info->subsys, Subsys::kVm) << fn.name << " leaked into a VM-only capture";
+  });
 }
 
 TEST(Integration, ProfiledAndUnprofiledKernelsAgreeOnResults) {

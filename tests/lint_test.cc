@@ -614,7 +614,8 @@ TEST(LintTrace, ShardBoundaryCutIsNotAnAnomaly) {
   raw.events.push_back(RawEvent{601, 30});
   const DecodedTrace trace = Decoder::Decode(raw, names);
   EXPECT_EQ(trace.orphan_exits, 1u);
-  EXPECT_EQ(trace.preopen_exit_counts.count("plainfn"), 1u);
+  const std::size_t plainfn = names.FindByName("plainfn")->index;
+  EXPECT_EQ(trace.per_function[plainfn].preopen_exits, 1u);
 
   std::vector<Finding> findings;
   CrossCheckTrace(trace, names, lint.model, &findings);
@@ -630,7 +631,7 @@ TEST(LintTrace, ShardBoundaryCutIsNotAnAnomaly) {
   bad.events.push_back(RawEvent{601, 30});  // orphan after balanced activity
   const DecodedTrace bad_trace = Decoder::Decode(bad, names);
   EXPECT_EQ(bad_trace.orphan_exits, 1u);
-  EXPECT_EQ(bad_trace.preopen_exit_counts.count("plainfn"), 0u);
+  EXPECT_EQ(bad_trace.per_function[plainfn].preopen_exits, 0u);
   findings.clear();
   CrossCheckTrace(bad_trace, names, lint.model, &findings);
   bool orphan = false;
@@ -651,7 +652,7 @@ TEST(LintTrace, TruncatedFinalStackIsNotAnAnomaly) {
   raw.events.push_back(RawEvent{600, 10});  // entry, capture stops here
   const DecodedTrace trace = Decoder::Decode(raw, names);
   EXPECT_GE(trace.unclosed_entries, 1u);
-  EXPECT_EQ(trace.truncated_entry_counts.count("plainfn"), 1u);
+  EXPECT_EQ(trace.per_function[names.FindByName("plainfn")->index].truncated_entries, 1u);
 
   std::vector<Finding> findings;
   CrossCheckTrace(trace, names, lint.model, &findings);

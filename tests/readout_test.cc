@@ -74,12 +74,11 @@ TEST(Readout, FullPipelineThroughDecoder) {
   const RawTrace in_band = InBandReadout(tb.machine(), tb.instr(), tb.profiler());
   DecodedTrace a = Decoder::Decode(uploaded, tb.tags());
   DecodedTrace b = Decoder::Decode(in_band, tb.tags());
-  EXPECT_EQ(a.per_function.size(), b.per_function.size());
-  for (const auto& [name, stats] : a.per_function) {
-    const FuncStats* other = b.Stats(name);
-    ASSERT_NE(other, nullptr) << name;
-    EXPECT_EQ(stats.calls, other->calls) << name;
-    EXPECT_EQ(stats.net, other->net) << name;
+  ASSERT_EQ(a.per_function.size(), b.per_function.size());
+  for (std::size_t i = 0; i < a.per_function.size(); ++i) {
+    const std::string& name = tb.tags().entries()[i].name;
+    EXPECT_EQ(a.per_function[i].calls, b.per_function[i].calls) << name;
+    EXPECT_EQ(a.per_function[i].net, b.per_function[i].net) << name;
   }
 }
 

@@ -27,6 +27,8 @@ class ReferenceDecoder {
   explicit ReferenceDecoder(const TagFile& names, unsigned timer_bits = 24,
                             std::uint64_t timer_clock_hz = 1'000'000)
       : names_(names), timer_(timer_bits, timer_clock_hz) {
+    out_.names = &names;
+    out_.per_function.resize(names.size());
     current_ = NewStack();
   }
 
@@ -285,7 +287,7 @@ class ReferenceDecoder {
     for (CallNode* n = current_->top; n != nullptr && n->parent != nullptr; n = n->parent) {
       if (n->fn->name == ev.entry->name) {
         while (current_->top != n) {
-          ++out_.unclosed_entry_counts[current_->top->fn->name];
+          ++out_.per_function[current_->top->fn->index].unclosed_entries;
           ++out_.unclosed_entries;
           CloseTop(current_, ev.t, /*forced=*/true, /*context_switch_in=*/false);
         }
@@ -304,9 +306,9 @@ class ReferenceDecoder {
 
   void NoteOrphanExit(const TagEntry* fn) {
     ++out_.orphan_exits;
-    ++out_.orphan_exit_counts[fn->name];
+    ++out_.per_function[fn->index].orphan_exits;
     if (entered_.count(fn) == 0) {
-      ++out_.preopen_exit_counts[fn->name];
+      ++out_.per_function[fn->index].preopen_exits;
     }
   }
 
@@ -332,15 +334,16 @@ class ReferenceDecoder {
         node->forced_close = true;
         stack->top = node->parent;
         ++out_.unclosed_entries;
-        ++out_.unclosed_entry_counts[node->fn->name];
-        ++out_.truncated_entry_counts[node->fn->name];
+        ++out_.truncated_entries;
+        ++out_.per_function[node->fn->index].unclosed_entries;
+        ++out_.per_function[node->fn->index].truncated_entries;
       }
     }
   }
 
   void Accumulate(const CallNode& node) {
     if (node.fn != nullptr && !node.inline_marker) {
-      FuncStats& stats = out_.per_function[node.fn->name];
+      FuncStats& stats = out_.per_function[node.fn->index];
       const Nanoseconds net = node.Net();
       if (stats.calls == 0) {
         stats.min_net = net;
@@ -353,7 +356,6 @@ class ReferenceDecoder {
       stats.elapsed += node.Elapsed();
       stats.net += net;
       if (node.fn->kind == TagKind::kContextSwitch) {
-        stats.context_switch = true;
         out_.idle_time += net;
       }
     }

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
+#include "src/analysis/diff.h"
+#include "src/analysis/export.h"
 #include "src/base/assert.h"
 #include "src/analysis/grouping.h"
 #include "src/analysis/histogram.h"
+#include "src/analysis/process_report.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
 #include "src/instr/tag_file.h"
+#include "src/lint/trace_check.h"
 
 namespace hwprof {
 namespace {
@@ -177,6 +182,119 @@ TEST(Grouping, ContextSwitchNetNeverJoinsAGroup) {
   const GroupRow* hot = g.Row("hot");
   ASSERT_NE(hot, nullptr);
   EXPECT_EQ(hot->net_us, 190u);  // alpha 100 + beta 90, none of the idle
+}
+
+// --- Ties render the same whatever order the names file lists ------------------
+
+// The same four functions with the same tags and groups, listed in reverse
+// alphabetical and in alphabetical order. A report that keys its tables by
+// names-file entry must break ties by name, never by an entry's position.
+const TagFile& ReverseAlphabeticalNames() {
+  static const TagFile* names = [] {
+    auto* file = new TagFile();
+    HWPROF_CHECK(TagFile::Parse("zeta/106 group=gz\nmain/100 group=gm\n"
+                                "beta/104 group=gb\nalpha/102 group=ga\n",
+                                file));
+    return file;
+  }();
+  return *names;
+}
+
+const TagFile& AlphabeticalNames() {
+  static const TagFile* names = [] {
+    auto* file = new TagFile();
+    HWPROF_CHECK(TagFile::Parse("alpha/102 group=ga\nbeta/104 group=gb\n"
+                                "main/100 group=gm\nzeta/106 group=gz\n",
+                                file));
+    return file;
+  }();
+  return *names;
+}
+
+// One context: main calls alpha and beta for 10 us each, so the two tie on
+// net time, on calls, on their groups and on their edges from main. Then a
+// second main whose exit force-closes a zero-time beta and alpha, one
+// orphan exit of each, and a zeta entry still open when the capture ends.
+RawTrace TiedTrace() {
+  RawTrace raw;
+  raw.events = {{100, 0},  {102, 1},  {103, 11}, {104, 11}, {105, 21},
+                {101, 22}, {100, 30}, {104, 30}, {102, 30}, {101, 30},
+                {103, 40}, {105, 40}, {106, 50}};
+  raw.overflowed = true;
+  return raw;
+}
+
+// Every rendering of `d`: the reports, the exports, a diff against a trace
+// decoded with another names file in both directions, and hwprof_lint's
+// trace cross-check.
+std::string RenderAll(const DecodedTrace& d, const TagFile& names) {
+  std::string out = Summary(d).Format(0);
+  out += Grouping(d, names.GroupsByName()).Format();
+  out += CallGraph(d).Format(d);
+  out += ProcessReport(d).Format(d);
+  out += TraceReport::Format(d);
+  out += ExportTraceEventJson(d);
+  out += ExportFoldedStacks(d);
+  out += Histogram::ForFunction(d, "alpha").Format("alpha");
+  const DecodedTrace other = MakeDecoded();
+  out += TraceDiff(d, other, names.GroupsByName()).FormatText();
+  out += TraceDiff(other, d, names.GroupsByName()).FormatJson();
+  std::vector<lint::Finding> findings;
+  lint::CrossCheckTrace(d, names, lint::CallStructureModel{}, &findings);
+  for (const lint::Finding& f : findings) {
+    out += f.rule + ": " + f.message + "\n";
+  }
+  return out;
+}
+
+DecodedTrace FoldDecode(const RawTrace& raw, const TagFile& names) {
+  StreamingDecoder decoder(names, raw.timer_bits, raw.timer_clock_hz,
+                           StreamingOptions{.retain_structure = false});
+  decoder.Feed(raw.events);
+  return decoder.Finish(raw.overflowed);
+}
+
+TEST(TieBreak, ReportsBreakTiesByNameNotByNamesFileOrder) {
+  const RawTrace raw = TiedTrace();
+  const DecodedTrace reverse = Decoder::Decode(raw, ReverseAlphabeticalNames());
+  const DecodedTrace alphabetical = Decoder::Decode(raw, AlphabeticalNames());
+
+  // The ties are real.
+  const Summary summary(reverse);
+  ASSERT_NE(summary.Row("alpha"), nullptr);
+  ASSERT_NE(summary.Row("beta"), nullptr);
+  EXPECT_EQ(summary.Row("alpha")->net_us, 10u);
+  EXPECT_EQ(summary.Row("alpha")->net_us, summary.Row("beta")->net_us);
+  EXPECT_EQ(summary.Row("alpha")->calls, summary.Row("beta")->calls);
+  const Grouping groups(reverse, ReverseAlphabeticalNames().GroupsByName());
+  ASSERT_NE(groups.Row("ga"), nullptr);
+  ASSERT_NE(groups.Row("gb"), nullptr);
+  EXPECT_EQ(groups.Row("ga")->net_us, groups.Row("gb")->net_us);
+  const CallGraph graph(reverse);
+  ASSERT_NE(graph.Edge("main", "alpha"), nullptr);
+  ASSERT_NE(graph.Edge("main", "beta"), nullptr);
+  EXPECT_EQ(graph.Edge("main", "alpha")->callee_elapsed,
+            graph.Edge("main", "beta")->callee_elapsed);
+
+  // Ties go to the alphabetically first name.
+  const ProcessReport processes(reverse);
+  ASSERT_EQ(processes.rows().size(), 1u);
+  EXPECT_EQ(processes.rows()[0].top_function, "alpha");
+  EXPECT_EQ(summary.rows()[0].name, "alpha");
+  EXPECT_EQ(summary.rows()[1].name, "beta");
+  const auto callees = graph.CalleesOf("main");
+  ASSERT_EQ(callees.size(), 2u);
+  EXPECT_EQ(callees[0]->callee, "alpha");
+
+  // And every rendering is the same under either names file.
+  EXPECT_EQ(RenderAll(reverse, ReverseAlphabeticalNames()),
+            RenderAll(alphabetical, AlphabeticalNames()));
+  const DecodedTrace fold_reverse = FoldDecode(raw, ReverseAlphabeticalNames());
+  const DecodedTrace fold_alphabetical = FoldDecode(raw, AlphabeticalNames());
+  EXPECT_EQ(Summary(fold_reverse).Format(0), Summary(fold_alphabetical).Format(0));
+  EXPECT_EQ(Summary(fold_reverse).Format(0), Summary(reverse).Format(0));
+  EXPECT_EQ(Grouping(fold_reverse, ReverseAlphabeticalNames().GroupsByName()).Format(),
+            Grouping(fold_alphabetical, AlphabeticalNames().GroupsByName()).Format());
 }
 
 TEST(Histogram, BucketsAreLog2) {

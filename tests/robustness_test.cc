@@ -56,8 +56,7 @@ TEST_P(DecoderFuzzTest, ArbitraryCapturesNeverCrashTheToolchain) {
   DecodedTrace d = Decoder::Decode(raw, *names);
   // Invariants even on garbage:
   EXPECT_LE(d.idle_time, d.ElapsedTotal());
-  for (const auto& [name, stats] : d.per_function) {
-    (void)name;
+  for (const FuncStats& stats : d.per_function) {
     EXPECT_LE(stats.net, stats.elapsed);
     EXPECT_LE(stats.min_net, stats.max_net);
   }

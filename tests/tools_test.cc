@@ -4,9 +4,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "src/analysis/callgraph.h"
 #include "src/analysis/decoder.h"
+#include "src/base/crc32.h"
 #include "src/base/json.h"
 #include "src/profhw/smart_socket.h"
 #include "src/workloads/testbed.h"
@@ -209,6 +211,61 @@ TEST(AnalyzeCli, JsonReportCarriesTheAnomalyCounters) {
   EXPECT_NE(out.find("\"wrap_ambiguous_gaps\": 0"), std::string::npos);
   EXPECT_NE(out.find("\"functions\": ["), std::string::npos);
   EXPECT_NE(out.find("\"pct_real\":"), std::string::npos);
+}
+
+// `--json`'s stdout for `capture`, reduced to its CRC-32 and length.
+struct JsonDigest {
+  std::uint32_t crc = 0;
+  std::size_t bytes = 0;
+  bool operator==(const JsonDigest&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const JsonDigest& d) {
+  return os << "{0x" << std::hex << d.crc << std::dec << ", " << d.bytes << "}";
+}
+
+JsonDigest AnalyzeJsonDigest(const std::string& capture, const std::string& names,
+                             bool salvage) {
+  std::string error;
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const int rc =
+      salvage ? RunCli({capture.c_str(), names.c_str(), "--salvage", "--json"}, &error)
+              : RunCli({capture.c_str(), names.c_str(), "--json"}, &error);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 0) << error;
+  return JsonDigest{Crc32(out), out.size()};
+}
+
+TEST(AnalyzeCli, JsonReportBytesArePinned) {
+  // Every byte of `--json` on the golden capture, and on a copy of it with
+  // two lines overwritten by garbage and the last line cut short, which
+  // only --salvage decodes. Re-record only for an intended format change.
+  const std::string golden = std::string(HWPROF_TEST_DIR) + "/golden/";
+  const std::string names = golden + "net_receive.names";
+  EXPECT_EQ(AnalyzeJsonDigest(golden + "net_receive.capture", names, false),
+            (JsonDigest{0xd7289187, 7456}));
+
+  std::ifstream in(golden + "net_receive.capture");
+  std::stringstream text;
+  text << in.rdbuf();
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(text, line);) {
+    lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), 3000u);
+  lines[500] = "garbage here";
+  lines[3000] = "12x 34";
+  lines.back().resize(lines.back().size() / 2);
+  const std::string salvaged = ::testing::TempDir() + "/cli_json_pin.hwprof";
+  {
+    std::ofstream out(salvaged);
+    for (const std::string& line : lines) {
+      out << line << "\n";
+    }
+  }
+  EXPECT_EQ(AnalyzeJsonDigest(salvaged, names, true), (JsonDigest{0xc69a643d, 7458}));
 }
 
 TEST(AnalyzeCli, JobsIsAnUnknownOption) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <map>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -66,14 +67,41 @@ std::string DumpMap(const Map& m) {
   return out;
 }
 
+// One per-function counter as a name-keyed map of its nonzero values: the
+// text the fingerprint has always rendered, whatever order the names file
+// lists the functions in.
+inline std::map<std::string, std::uint64_t> CountsByName(
+    const DecodedTrace& d, std::uint64_t FuncStats::*count) {
+  std::map<std::string, std::uint64_t> out;
+  for (std::size_t i = 0; i < d.per_function.size(); ++i) {
+    if (d.per_function[i].*count > 0) {
+      out.emplace(d.names->entries()[i].name, d.per_function[i].*count);
+    }
+  }
+  return out;
+}
+
+// Functions called at least once.
+inline std::size_t CalledFunctions(const DecodedTrace& d) {
+  std::size_t n = 0;
+  d.ForEachFunction([&n](const TagEntry&, const FuncStats&) { ++n; });
+  return n;
+}
+
 // What the stats-only consumers (Summary, hwprofd) see: everything in the
 // fingerprint except the trees and steps that fold mode does not build.
 inline std::string StatsFingerprint(const DecodedTrace& d) {
   std::string out = Summary(d).Format(0);
-  for (const auto& [name, s] : d.per_function) {
+  std::map<std::string, std::pair<const TagEntry*, const FuncStats*>> by_name;
+  d.ForEachFunction([&by_name](const TagEntry& fn, const FuncStats& s) {
+    by_name.emplace(fn.name, std::make_pair(&fn, &s));
+  });
+  for (const auto& [name, row] : by_name) {
+    const FuncStats& s = *row.second;
     out += "|" + name + ":" + std::to_string(s.calls) + "," + std::to_string(s.elapsed) +
            "," + std::to_string(s.net) + "," + std::to_string(s.min_net) + "," +
-           std::to_string(s.max_net) + "," + std::to_string(s.context_switch);
+           std::to_string(s.max_net) + "," +
+           std::to_string(row.first->kind == TagKind::kContextSwitch);
   }
   out += "|events=" + std::to_string(d.event_count);
   out += "|truncated=" + std::to_string(d.truncated);
@@ -82,10 +110,12 @@ inline std::string StatsFingerprint(const DecodedTrace& d) {
   out += "|idle=" + std::to_string(d.idle_time);
   out += "|stacks=" + std::to_string(d.stacks.size());
   out += "|unknown=" + std::to_string(d.unknown_tags) + DumpMap(d.unknown_tag_counts);
-  out += "|orphan=" + std::to_string(d.orphan_exits) + DumpMap(d.orphan_exit_counts);
-  out += "|preopen=" + DumpMap(d.preopen_exit_counts);
-  out += "|unclosed=" + std::to_string(d.unclosed_entries) + DumpMap(d.unclosed_entry_counts);
-  out += "|trunc_entries=" + DumpMap(d.truncated_entry_counts);
+  out += "|orphan=" + std::to_string(d.orphan_exits) +
+         DumpMap(CountsByName(d, &FuncStats::orphan_exits));
+  out += "|preopen=" + DumpMap(CountsByName(d, &FuncStats::preopen_exits));
+  out += "|unclosed=" + std::to_string(d.unclosed_entries) +
+         DumpMap(CountsByName(d, &FuncStats::unclosed_entries));
+  out += "|trunc_entries=" + DumpMap(CountsByName(d, &FuncStats::truncated_entries));
   out += "|dropped=" + std::to_string(d.dropped_events);
   out += "|gaps=" + std::to_string(d.capture_gaps);
   out += "|corrupt=" + std::to_string(d.corrupt_words);

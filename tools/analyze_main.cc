@@ -15,8 +15,8 @@
 #include "src/analysis/process_report.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
-#include "src/base/json.h"
 #include "src/base/strings.h"
+#include "src/base/text_writer.h"
 #include "src/obs/telemetry.h"
 #include "src/profhw/smart_socket.h"
 
@@ -97,46 +97,46 @@ bool DecodeCaptureArg(const std::string& path, const TagFile& names, bool salvag
 // every summary row, built only from the DecodedTrace.
 std::string FormatJson(const DecodedTrace& decoded) {
   const Summary summary(decoded);
-  auto u64 = [](std::uint64_t v) {
-    return StrFormat("%llu", static_cast<unsigned long long>(v));
+  TextWriter w(1024 + 224 * summary.rows().size());
+  auto field = [&w](std::string_view indent, std::string_view key, std::uint64_t v,
+                    bool last = false) {
+    w.Append(indent).Append('"').Append(key).Append("\": ").Uint(v);
+    w.Append(last ? "\n" : ",\n");
   };
-  std::string out = "{\n";
-  out += "  \"elapsed_us\": " + u64(summary.elapsed_us()) + ",\n";
-  out += "  \"run_us\": " + u64(summary.run_us()) + ",\n";
-  out += "  \"idle_us\": " + u64(summary.idle_us()) + ",\n";
-  out += "  \"events\": " + u64(decoded.event_count) + ",\n";
-  out += StrFormat("  \"truncated\": %s,\n", decoded.truncated ? "true" : "false");
-  out += "  \"anomalies\": {\n";
-  out += "    \"corrupt_words\": " + u64(decoded.corrupt_words) + ",\n";
-  out += "    \"impossible_deltas\": " + u64(decoded.impossible_deltas) + ",\n";
-  out += "    \"wrap_ambiguous_gaps\": " + u64(decoded.wrap_ambiguous_gaps) + ",\n";
-  out += "    \"unaccounted_us\": " + u64(ToWholeUsec(decoded.unaccounted_time)) + ",\n";
-  out += "    \"unknown_tags\": " + u64(decoded.unknown_tags) + ",\n";
-  out += "    \"orphan_exits\": " + u64(decoded.orphan_exits) + ",\n";
-  out += "    \"dropped_events\": " + u64(decoded.dropped_events) + ",\n";
-  out += "    \"capture_gaps\": " + u64(decoded.capture_gaps) + ",\n";
-  out += "    \"unclosed_entries\": " + u64(decoded.unclosed_entries) + ",\n";
-  out += "    \"mid_trace_unclosed\": " + u64(decoded.MidTraceUnclosedEntries()) + "\n";
-  out += "  },\n";
-  out += "  \"functions\": [";
+  w.Append("{\n");
+  field("  ", "elapsed_us", summary.elapsed_us());
+  field("  ", "run_us", summary.run_us());
+  field("  ", "idle_us", summary.idle_us());
+  field("  ", "events", decoded.event_count);
+  w.Append("  \"truncated\": ").Append(decoded.truncated ? "true" : "false").Append(",\n");
+  w.Append("  \"anomalies\": {\n");
+  field("    ", "corrupt_words", decoded.corrupt_words);
+  field("    ", "impossible_deltas", decoded.impossible_deltas);
+  field("    ", "wrap_ambiguous_gaps", decoded.wrap_ambiguous_gaps);
+  field("    ", "unaccounted_us", ToWholeUsec(decoded.unaccounted_time));
+  field("    ", "unknown_tags", decoded.unknown_tags);
+  field("    ", "orphan_exits", decoded.orphan_exits);
+  field("    ", "dropped_events", decoded.dropped_events);
+  field("    ", "capture_gaps", decoded.capture_gaps);
+  field("    ", "unclosed_entries", decoded.unclosed_entries);
+  field("    ", "mid_trace_unclosed", decoded.MidTraceUnclosedEntries(), /*last=*/true);
+  w.Append("  },\n  \"functions\": [");
   bool first = true;
   for (const SummaryRow& row : summary.rows()) {
-    out += first ? "\n" : ",\n";
+    w.Append(first ? "\n" : ",\n");
     first = false;
-    out += "    {\"name\": ";
-    AppendJsonString(row.name, &out);
-    out += ", \"calls\": " + u64(row.calls);
-    out += ", \"elapsed_us\": " + u64(row.elapsed_us);
-    out += ", \"net_us\": " + u64(row.net_us);
-    out += ", \"max_us\": " + u64(row.max_us);
-    out += ", \"avg_us\": " + u64(row.avg_us);
-    out += ", \"min_us\": " + u64(row.min_us);
-    out += StrFormat(", \"pct_real\": %.2f, \"pct_net\": %.2f}", row.pct_real,
-                     row.pct_net);
+    w.Append("    {\"name\": ").JsonString(row.name);
+    w.Append(", \"calls\": ").Uint(row.calls);
+    w.Append(", \"elapsed_us\": ").Uint(row.elapsed_us);
+    w.Append(", \"net_us\": ").Uint(row.net_us);
+    w.Append(", \"max_us\": ").Uint(row.max_us);
+    w.Append(", \"avg_us\": ").Uint(row.avg_us);
+    w.Append(", \"min_us\": ").Uint(row.min_us);
+    w.Append(", \"pct_real\": ").Fixed2(row.pct_real);
+    w.Append(", \"pct_net\": ").Fixed2(row.pct_net).Append('}');
   }
-  out += first ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  return out;
+  w.Append(first ? "]\n" : "\n  ]\n").Append("}\n");
+  return w.Take();
 }
 
 // Incremental analysis of a chunked stream file: feeds each drained bank to
