@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -189,10 +190,18 @@ std::string ExportTraceEventJson(const DecodedTrace& decoded,
 }
 
 std::string ExportFoldedStacks(const DecodedTrace& decoded) {
-  // One path buffer, extended by ";name" on the way down and cut back on
-  // the way up; markers carry no time and are skipped.
-  std::map<std::string, std::uint64_t> agg;
-  std::string path;
+  // Each distinct path is one id, keyed by its parent path's id and the
+  // callee's names-file entry, so a call costs one integer-keyed lookup and
+  // a path's string is built once, when the path is first seen. Markers
+  // carry no time and are skipped.
+  struct Path {
+    std::string text;
+    std::uint64_t net_ns = 0;
+  };
+  std::vector<Path> paths;
+  std::vector<std::uint32_t> calls;  // the ids of call paths (not context roots)
+  std::unordered_map<std::uint64_t, std::uint32_t> child_path;
+  std::vector<std::uint32_t> open;  // path ids from the root to the current call
   auto folds = [](const CallNode& node) {
     return node.fn != nullptr && !node.inline_marker;
   };
@@ -200,29 +209,51 @@ std::string ExportFoldedStacks(const DecodedTrace& decoded) {
     if (stack->root == nullptr) {
       continue;
     }
-    path = "context " + std::to_string(stack->id);
+    open.assign(1, static_cast<std::uint32_t>(paths.size()));
+    paths.push_back(Path{"context " + std::to_string(stack->id)});
     WalkTree(
         *stack->root,
         [&](const CallNode& node) {
-          if (folds(node)) {
-            path += ';';
-            path += node.fn->name;
-            agg[path] += static_cast<std::uint64_t>(node.Net());
+          if (!folds(node)) {
+            return;
           }
+          const std::uint64_t key = (std::uint64_t{open.back()} << 32) | node.fn->index;
+          const auto [it, added] =
+              child_path.try_emplace(key, static_cast<std::uint32_t>(paths.size()));
+          if (added) {
+            paths.push_back(Path{paths[open.back()].text + ';' + node.fn->name});
+            calls.push_back(it->second);
+          }
+          paths[it->second].net_ns += static_cast<std::uint64_t>(node.Net());
+          open.push_back(it->second);
         },
         [&](const CallNode& node) {
           if (folds(node)) {
-            path.resize(path.size() - 1 - node.fn->name.size());
+            open.pop_back();
           }
         });
   }
+  // One line per distinct path string, in byte order. Paths that print
+  // alike (two contexts with one id, two names-file entries with one name)
+  // sort next to each other and share a line.
+  std::sort(calls.begin(), calls.end(), [&paths](std::uint32_t a, std::uint32_t b) {
+    return paths[a].text < paths[b].text;
+  });
+  std::vector<std::pair<const std::string*, std::uint64_t>> lines;
+  for (const std::uint32_t id : calls) {
+    if (!lines.empty() && *lines.back().first == paths[id].text) {
+      lines.back().second += paths[id].net_ns;
+    } else {
+      lines.emplace_back(&paths[id].text, paths[id].net_ns);
+    }
+  }
   std::size_t bytes = 0;
-  for (const auto& [key, net_ns] : agg) {
-    bytes += key.size() + 2 + DecimalDigits(net_ns);
+  for (const auto& [text, net_ns] : lines) {
+    bytes += text->size() + 2 + DecimalDigits(net_ns);
   }
   TextWriter w(bytes);
-  for (const auto& [key, net_ns] : agg) {
-    w.Append(key).Append(' ').Uint(net_ns).Append('\n');
+  for (const auto& [text, net_ns] : lines) {
+    w.Append(*text).Append(' ').Uint(net_ns).Append('\n');
   }
   return w.Take();
 }

@@ -62,7 +62,7 @@ void MbufPool::MFreem(Mbuf* m) {
   }
 }
 
-Mbuf* MbufPool::FromBytes(const std::vector<std::uint8_t>& payload, bool in_isa) {
+Mbuf* MbufPool::FromBytes(std::span<const std::uint8_t> payload, bool in_isa) {
   Mbuf* head = nullptr;
   Mbuf* tail = nullptr;
   std::size_t off = 0;
@@ -90,12 +90,28 @@ Mbuf* MbufPool::FromBytes(const std::vector<std::uint8_t>& payload, bool in_isa)
   return head;
 }
 
-std::vector<std::uint8_t> MbufPool::ToBytes(const Mbuf* m) {
-  std::vector<std::uint8_t> out;
-  for (; m != nullptr; m = m->next) {
-    out.insert(out.end(), m->data.begin(), m->data.end());
+std::size_t MbufPool::CopyData(const Mbuf* m, std::size_t off, std::size_t len,
+                               std::uint8_t* out) {
+  std::size_t copied = 0;
+  for (; m != nullptr && copied < len; m = m->next) {
+    if (off >= m->data.size()) {
+      off -= m->data.size();
+      continue;
+    }
+    const std::size_t take = std::min(m->data.size() - off, len - copied);
+    std::copy_n(m->data.begin() + static_cast<std::ptrdiff_t>(off), take, out + copied);
+    copied += take;
+    off = 0;
   }
-  return out;
+  return copied;
+}
+
+std::span<const std::uint8_t> MbufPool::Front(const Mbuf* m, std::size_t n,
+                                              std::uint8_t* scratch) {
+  if (m != nullptr && m->data.size() >= n) {
+    return {m->data.data(), n};
+  }
+  return {scratch, CopyData(m, 0, n, scratch)};
 }
 
 std::size_t MbufPool::ChainLen(const Mbuf* m) {

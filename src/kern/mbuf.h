@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/instr/instrumenter.h"
@@ -57,11 +58,20 @@ class MbufPool {
 
   // Builds a chain holding `payload`, charging copy costs. If `in_isa`
   // the data is left in controller memory (external-cluster ablation).
-  Mbuf* FromBytes(const std::vector<std::uint8_t>& payload, bool in_isa);
+  Mbuf* FromBytes(std::span<const std::uint8_t> payload, bool in_isa);
 
-  // Flattens a chain back to contiguous bytes (no cost charge; analysis
-  // helper for protocol code that charges its own copies).
-  static std::vector<std::uint8_t> ToBytes(const Mbuf* m);
+  // m_copydata: copies up to `len` bytes of the chain, starting `off` bytes
+  // in, to `out`; returns how many there were. No cost charge (the callers
+  // charge their own copies).
+  static std::size_t CopyData(const Mbuf* m, std::size_t off, std::size_t len,
+                              std::uint8_t* out);
+
+  // The chain's first min(n, chain length) bytes as one contiguous view: in
+  // place when the first mbuf holds them (as it holds every header the
+  // driver receives), else copied to `scratch` (n bytes) — how protocol
+  // input reads its header without flattening the packet.
+  static std::span<const std::uint8_t> Front(const Mbuf* m, std::size_t n,
+                                             std::uint8_t* scratch);
 
   // Total data length of a chain.
   static std::size_t ChainLen(const Mbuf* m);

@@ -29,7 +29,7 @@ WeDevice::WeDevice(Kernel& kernel, NetStack& stack, EtherSegment& wire, std::uin
   wire.Attach(this);
 }
 
-void WeDevice::OnFrame(const Bytes& frame) {
+void WeDevice::OnFrame(Bytes frame) {
   // NIC hardware: DMA into the on-board ring (no host CPU involved). On
   // overrun the frame is simply lost — the 8-bit card cannot keep up if the
   // driver does not drain it.
@@ -37,8 +37,8 @@ void WeDevice::OnFrame(const Bytes& frame) {
     ++rx_dropped_;
     return;
   }
-  board_rx_.push_back(frame);
   board_rx_bytes_ += frame.size();
+  board_rx_.push_back(std::move(frame));
   ++rx_frames_;
   kernel_.machine().irq().Raise(IrqLine::kEther);
 }
@@ -72,7 +72,7 @@ void WeDevice::ReadFrame(Bytes frame) {
   kernel_.cpu().Use(3 * kMicrosecond);
 
   EtherHeader eh;
-  Bytes ip_packet;
+  ByteView ip_packet;
   if (!ParseEtherFrame(frame, &eh, &ip_packet) || eh.type != kEtherTypeIp) {
     return;
   }
@@ -201,7 +201,7 @@ void NetStack::EtherInput(Mbuf* ip_chain) {
   kernel_.RaiseSoftNet();
 }
 
-std::uint16_t NetStack::InCksumChain(const Mbuf* m, std::size_t len) {
+std::uint16_t NetStack::InCksumChain(const Mbuf* m, std::size_t len, std::uint32_t initial) {
   KPROF(kernel_, f_in_cksum_);
   bool in_isa = false;
   std::size_t chain_bytes = 0;
@@ -219,11 +219,31 @@ std::uint16_t NetStack::InCksumChain(const Mbuf* m, std::size_t len) {
   }
   const bool unrolled = kernel_.knobs().cksum_unrolled;
   kernel_.cpu().Use(kernel_.cost().Checksum(summed, in_isa, unrolled));
-  Bytes flat = MbufPool::ToBytes(m);
-  if (flat.size() > summed) {
-    flat.resize(summed);
+  // Sum each mbuf where it lies. An mbuf that ends mid-word leaves its last
+  // byte to pair with the next mbuf's first, so every 16-bit word summed is
+  // the one the contiguous packet holds.
+  const auto sum_words = unrolled ? InetSumWords : InetSum;
+  std::uint32_t sum = initial;
+  std::uint8_t carry[1];
+  std::size_t carried = 0;
+  std::size_t left = summed;
+  for (const Mbuf* it = m; it != nullptr && left > 0; it = it->next) {
+    ByteView data(it->data.data(), std::min(it->data.size(), left));
+    left -= data.size();
+    if (carried != 0 && !data.empty()) {
+      sum += static_cast<std::uint32_t>((carry[0] << 8) | data[0]);
+      data = data.subspan(1);
+      carried = 0;
+    }
+    if (data.size() % 2 != 0) {
+      carry[0] = data.back();
+      carried = 1;
+      data = data.first(data.size() - 1);
+    }
+    sum = sum_words(data, sum);
   }
-  return unrolled ? InetSumWords(flat) : InetSum(flat);
+  // A byte left over at the end is padded on the right, and the sum folded.
+  return sum_words(ByteView(carry, carried), sum);
 }
 
 void NetStack::IpIntr() {
@@ -248,13 +268,13 @@ void NetStack::IpInput(Mbuf* m) {
   kernel_.cpu().Use(15 * kMicrosecond);
   ++ip_packets_in_;
 
-  const Bytes packet = MbufPool::ToBytes(m);
-  IpHeader ih;
-  Bytes payload;  // NOLINT: reassigned after reassembly
   // Charge the header checksum first (the real kernel checksums before
-  // parsing anything else).
-  InCksumChain(m, IpHeader::kBytes);
-  if (!ParseIpPacket(packet, &ih, &payload)) {
+  // parsing anything else); its sum is the verdict.
+  const std::uint16_t header_sum = InCksumChain(m, IpHeader::kBytes);
+  std::uint8_t scratch[IpHeader::kBytes];
+  IpHeader ih;
+  if (header_sum != 0xFFFF ||
+      !ParseIpHeader(MbufPool::Front(m, IpHeader::kBytes, scratch), MbufPool::ChainLen(m), &ih)) {
     ++cksum_failures_;
     kernel_.mbufs().MFreem(m);
     return;
@@ -272,19 +292,18 @@ void NetStack::IpInput(Mbuf* m) {
   // Fragments go through ip_reass until the datagram is whole.
   if (ih.more_frags || ih.frag_off != 0) {
     IpHeader whole;
-    transport = IpReass(ih, payload, transport, &whole);
+    transport = IpReass(ih, transport, &whole);
     if (transport == nullptr) {
       return;  // still waiting for the rest
     }
     ih = whole;
-    payload = MbufPool::ToBytes(transport);
   }
   switch (ih.proto) {
     case kIpProtoTcp:
-      TcpInput(ih, payload, transport);
+      TcpInput(ih, transport);
       break;
     case kIpProtoUdp:
-      UdpInput(ih, payload, transport);
+      UdpInput(ih, transport);
       break;
     default:
       kernel_.mbufs().MFreem(transport);
@@ -292,24 +311,23 @@ void NetStack::IpInput(Mbuf* m) {
   }
 }
 
-Mbuf* NetStack::IpReass(const IpHeader& ih, const Bytes& payload, Mbuf* chain,
-                        IpHeader* out_ih) {
+Mbuf* NetStack::IpReass(const IpHeader& ih, Mbuf* chain, IpHeader* out_ih) {
   // ip_reass: mbuf-chain surgery per fragment.
   kernel_.cpu().Use(25 * kMicrosecond);
   const std::uint64_t key = (static_cast<std::uint64_t>(ih.src) << 16) | ih.id;
   FragBuffer& buf = frag_buffers_[key];
-  if (buf.data.size() < ih.frag_off + payload.size()) {
-    buf.data.resize(ih.frag_off + payload.size(), 0);
+  const std::size_t len = MbufPool::ChainLen(chain);
+  if (buf.data.size() < ih.frag_off + len) {
+    buf.data.resize(ih.frag_off + len, 0);
   }
-  std::copy(payload.begin(), payload.end(),
-            buf.data.begin() + static_cast<std::ptrdiff_t>(ih.frag_off));
-  buf.received += payload.size();
+  MbufPool::CopyData(chain, 0, len, buf.data.data() + ih.frag_off);
+  buf.received += len;
   for (const Mbuf* it = chain; it != nullptr; it = it->next) {
     buf.in_isa |= it->in_isa_memory;
   }
   if (!ih.more_frags) {
     buf.have_last = true;
-    buf.total = ih.frag_off + payload.size();
+    buf.total = ih.frag_off + len;
   }
   kernel_.mbufs().MFreem(chain);
   if (!buf.have_last || buf.received < buf.total) {
@@ -358,7 +376,7 @@ Tcpcb* NetStack::NewTcpcb(Socket* so) {
   return tp;
 }
 
-void NetStack::TcpInput(const IpHeader& ih, const Bytes& segment, Mbuf* chain) {
+void NetStack::TcpInput(const IpHeader& ih, Mbuf* chain) {
   KPROF(kernel_, f_tcp_input_);
   // Header validation, sequence bookkeeping, window update, reassembly
   // checks — the paper clocks tcp_input's own work at ~92 µs.
@@ -367,12 +385,14 @@ void NetStack::TcpInput(const IpHeader& ih, const Bytes& segment, Mbuf* chain) {
   kernel_.spl().splx(s);
   ++tcp_segments_in_;
 
-  // Checksum the whole segment (pseudo-header verified on the parsed copy).
-  InCksumChain(chain, segment.size());
+  // Checksum the whole segment where it lies, pseudo-header included; the
+  // sum is the verdict.
+  const std::size_t seg_len = MbufPool::ChainLen(chain);
+  const std::uint16_t sum = InCksumChain(chain, seg_len, PseudoSum(ih, kIpProtoTcp, seg_len));
+  std::uint8_t scratch[TcpHeader::kBytes];
   TcpHeader th;
-  Bytes payload;
-  bool cksum_ok = false;
-  if (!ParseTcpSegment(ih, segment, &th, &payload, &cksum_ok) || !cksum_ok) {
+  if (!ParseTcpHeader(MbufPool::Front(chain, TcpHeader::kBytes, scratch), &th) ||
+      sum != 0xFFFF) {
     ++cksum_failures_;
     kernel_.mbufs().MFreem(chain);
     return;
@@ -476,20 +496,21 @@ void NetStack::TcpInput(const IpHeader& ih, const Bytes& segment, Mbuf* chain) {
   }
 
   // Data processing.
-  if (!payload.empty()) {
+  const std::size_t payload_len = seg_len - TcpHeader::kBytes;
+  if (payload_len != 0) {
     if (th.seq != tp->rcv_nxt) {
       // Out of order (a drop upstream): discard and re-ACK what we have.
       kernel_.mbufs().MFreem(chain);
       TcpRespond(*tp, TcpHeader::kAck);
       return;
     }
-    if (so->rcv.Space() < payload.size()) {
+    if (so->rcv.Space() < payload_len) {
       // Receiver window violation; drop and advertise again.
       kernel_.mbufs().MFreem(chain);
       TcpRespond(*tp, TcpHeader::kAck);
       return;
     }
-    tp->rcv_nxt += static_cast<std::uint32_t>(payload.size());
+    tp->rcv_nxt += static_cast<std::uint32_t>(payload_len);
     // Trim the TCP header; the remaining chain is exactly the payload.
     Mbuf* data = kernel_.mbufs().AdjFront(chain, TcpHeader::kBytes);
     SbAppend(*so, data);
@@ -537,37 +558,38 @@ void NetStack::TcpRespond(Tcpcb& tp, std::uint8_t flags) {
   }
   const std::size_t space = tp.so != nullptr ? tp.so->rcv.Space() : 0;
   th.win = static_cast<std::uint16_t>(std::min<std::size_t>(space, 0xFFFF));
-  const Bytes segment = BuildTcpSegment(ih, th, Bytes{});
+  Bytes frame(kTcpPayloadOffset);
+  WriteTcpHeader(frame.data() + kTransportOffset, ih, th, 0);
   // Checksum of the outgoing header.
   {
     KPROF(kernel_, f_in_cksum_);
-    kernel_.cpu().Use(kernel_.cost().Checksum(segment.size(), false, kernel_.knobs().cksum_unrolled));
+    kernel_.cpu().Use(kernel_.cost().Checksum(TcpHeader::kBytes, false, kernel_.knobs().cksum_unrolled));
   }
-  IpOutput(kIpProtoTcp, tp.faddr, segment);
+  IpOutput(kIpProtoTcp, tp.faddr, std::move(frame));
 }
 
-void NetStack::UdpInput(const IpHeader& ih, const Bytes& datagram, Mbuf* chain) {
+void NetStack::UdpInput(const IpHeader& ih, Mbuf* chain) {
   KPROF(kernel_, f_udp_input_);
   kernel_.cpu().Use(20 * kMicrosecond);
   ++udp_datagrams_in_;
 
+  std::uint8_t scratch[UdpHeader::kBytes];
   UdpHeader uh;
-  Bytes payload;
-  bool cksum_ok = false;
-  if (!ParseUdpDatagram(ih, datagram, &uh, &payload, &cksum_ok)) {
+  if (!ParseUdpHeader(MbufPool::Front(chain, UdpHeader::kBytes, scratch),
+                      MbufPool::ChainLen(chain), &uh)) {
     kernel_.mbufs().MFreem(chain);
     return;
   }
-  if (uh.has_checksum) {
-    InCksumChain(chain, uh.len);
-    if (!cksum_ok) {
-      ++cksum_failures_;
-      kernel_.mbufs().MFreem(chain);
-      return;
-    }
+  // Checksummed datagrams are summed where they lie, pseudo-header
+  // included; the sum is the verdict.
+  if (uh.has_checksum &&
+      InCksumChain(chain, uh.len, PseudoSum(ih, kIpProtoUdp, uh.len)) != 0xFFFF) {
+    ++cksum_failures_;
+    kernel_.mbufs().MFreem(chain);
+    return;
   }
   Socket* so = PcbLookup(kIpProtoUdp, uh.dport, ih.src, uh.sport);
-  if (so == nullptr || so->rcv.Space() < payload.size()) {
+  if (so == nullptr || so->rcv.Space() < uh.len - UdpHeader::kBytes) {
     kernel_.mbufs().MFreem(chain);
     return;
   }
@@ -598,11 +620,14 @@ void NetStack::UdpOutput(Socket& so, std::uint32_t dst, std::uint16_t dport,
     kernel_.cpu().Use(kernel_.cost().Checksum(UdpHeader::kBytes + payload.size(), false,
                                           kernel_.knobs().cksum_unrolled));
   }
-  const Bytes datagram = BuildUdpDatagram(ih, uh, payload);
-  IpOutput(kIpProtoUdp, dst, datagram);
+  Bytes frame(kTransportOffset + UdpHeader::kBytes + payload.size());
+  std::copy(payload.begin(), payload.end(),
+            frame.begin() + kTransportOffset + UdpHeader::kBytes);
+  WriteUdpHeader(frame.data() + kTransportOffset, ih, uh, payload.size());
+  IpOutput(kIpProtoUdp, dst, std::move(frame));
 }
 
-void NetStack::IpOutput(std::uint8_t proto, std::uint32_t dst, const Bytes& transport) {
+void NetStack::IpOutput(std::uint8_t proto, std::uint32_t dst, Bytes frame) {
   KPROF(kernel_, f_ip_output_);
   kernel_.cpu().Use(20 * kMicrosecond);
   IpHeader ih;
@@ -618,7 +643,14 @@ void NetStack::IpOutput(std::uint8_t proto, std::uint32_t dst, const Bytes& tran
   EtherHeader eh;
   eh.src = kPcNodeId;
   eh.dst = dst == kSenderIpAddr ? kSenderNodeId : kNfsServerNodeId;
-  // Datagrams beyond the MTU leave as fragments (the era's NFS 8 KiB I/O).
+  // A packet that fits the MTU leaves in the buffer it was built in;
+  // larger datagrams leave as fragments (the era's NFS 8 KiB I/O).
+  const ByteView transport = ByteView(frame).subspan(kTransportOffset);
+  if (IpHeader::kBytes + transport.size() <= kEtherMaxPayload) {
+    FinishIpFrame(frame, eh, ih);
+    we_->Output(std::move(frame));
+    return;
+  }
   for (const Bytes& packet : BuildIpFragments(ih, transport)) {
     we_->Output(BuildEtherFrame(eh, packet));
   }
@@ -797,10 +829,7 @@ long NetStack::SoSend(Socket& so, const Bytes& data) {
     }
     const std::size_t take = std::min(data.size() - queued, so.snd.Space());
     kernel_.Copyin(take);
-    Mbuf* chunk = kernel_.mbufs().FromBytes(
-        Bytes(data.begin() + static_cast<std::ptrdiff_t>(queued),
-              data.begin() + static_cast<std::ptrdiff_t>(queued + take)),
-        false);
+    Mbuf* chunk = kernel_.mbufs().FromBytes(ByteView(data).subspan(queued, take), false);
     SbAppendSnd(so, chunk);
     queued += take;
     // tcp_output runs under the same splnet bracket: the softnet input
@@ -840,24 +869,13 @@ void NetStack::TcpOutputData(Tcpcb& tp) {
 
     KPROF(kernel_, f_tcp_output_);
     kernel_.cpu().Use(35 * kMicrosecond);
-    // Gather the payload from the send buffer at the unsent offset.
-    Bytes payload;
-    payload.reserve(len);
-    std::size_t skip = static_cast<std::size_t>(unsent_base);
-    for (const Mbuf* m = so->snd.queue.empty() ? nullptr : so->snd.queue.front();
-         m != nullptr && payload.size() < len; m = m->next) {
-      for (std::uint8_t byte : m->data) {
-        if (skip > 0) {
-          --skip;
-          continue;
-        }
-        if (payload.size() == len) {
-          break;
-        }
-        payload.push_back(byte);
-      }
-    }
-    HWPROF_CHECK(payload.size() == len);
+    // Gather the payload from the send buffer at the unsent offset, behind
+    // room for the headers.
+    Bytes frame(kTcpPayloadOffset + len);
+    const std::size_t gathered = MbufPool::CopyData(
+        so->snd.queue.empty() ? nullptr : so->snd.queue.front(),
+        static_cast<std::size_t>(unsent_base), len, frame.data() + kTcpPayloadOffset);
+    HWPROF_CHECK(gathered == len);
 
     IpHeader ih;
     ih.proto = kIpProtoTcp;
@@ -870,12 +888,13 @@ void NetStack::TcpOutputData(Tcpcb& tp) {
     th.ack = tp.rcv_nxt;
     th.flags = TcpHeader::kAck | TcpHeader::kPsh;
     th.win = static_cast<std::uint16_t>(std::min<std::size_t>(so->rcv.Space(), 0xFFFF));
-    const Bytes segment = BuildTcpSegment(ih, th, payload);
+    WriteTcpHeader(frame.data() + kTransportOffset, ih, th, len);
     {
       KPROF(kernel_, f_in_cksum_);
-      kernel_.cpu().Use(kernel_.cost().Checksum(segment.size(), false, kernel_.knobs().cksum_unrolled));
+      kernel_.cpu().Use(kernel_.cost().Checksum(TcpHeader::kBytes + len, false,
+                                                kernel_.knobs().cksum_unrolled));
     }
-    IpOutput(kIpProtoTcp, tp.faddr, segment);
+    IpOutput(kIpProtoTcp, tp.faddr, std::move(frame));
     tp.snd_off_sent += len;
     if (rexmt_armed_.insert(&tp).second) {
       TcpRexmtArm(&tp);
@@ -896,12 +915,14 @@ void NetStack::TcpOutputData(Tcpcb& tp) {
     th.ack = tp.rcv_nxt;
     th.flags = TcpHeader::kFin | TcpHeader::kAck;
     th.win = static_cast<std::uint16_t>(std::min<std::size_t>(so->rcv.Space(), 0xFFFF));
-    const Bytes segment = BuildTcpSegment(ih, th, Bytes{});
+    Bytes frame(kTcpPayloadOffset);
+    WriteTcpHeader(frame.data() + kTransportOffset, ih, th, 0);
     {
       KPROF(kernel_, f_in_cksum_);
-      kernel_.cpu().Use(kernel_.cost().Checksum(segment.size(), false, kernel_.knobs().cksum_unrolled));
+      kernel_.cpu().Use(kernel_.cost().Checksum(TcpHeader::kBytes, false,
+                                                kernel_.knobs().cksum_unrolled));
     }
-    IpOutput(kIpProtoTcp, tp.faddr, segment);
+    IpOutput(kIpProtoTcp, tp.faddr, std::move(frame));
   }
 }
 

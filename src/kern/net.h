@@ -104,7 +104,7 @@ class WeDevice : public EtherNode {
 
   // NIC side: a frame arrived on the wire; buffer it on the 8 KiB on-board
   // ring (dropping on overrun) and raise the interrupt.
-  void OnFrame(const Bytes& frame) override;
+  void OnFrame(Bytes frame) override;
 
   // weintr: the IRQ handler body, dispatched by the kernel.
   void Intr();
@@ -166,8 +166,10 @@ class NetStack {
   // The softnet body: drains ipintrq through ip_input.
   void IpIntr();
 
-  // Transmit `transport` to `dst` as IP protocol `proto`.
-  void IpOutput(std::uint8_t proto, std::uint32_t dst, const Bytes& transport);
+  // Transmits the transport bytes of `frame` (from kTransportOffset to its
+  // end; the room in front is for the IP and Ethernet headers) to `dst` as
+  // IP protocol `proto`.
+  void IpOutput(std::uint8_t proto, std::uint32_t dst, Bytes frame);
 
   // udp_output: sends `payload` to dst:dport from `so`'s bound port,
   // checksumming only when the kernel config enables UDP checksums.
@@ -175,8 +177,10 @@ class NetStack {
 
   // in_cksum: charges the (deliberately slow) C checksum cost over `len`
   // bytes of the chain — at the ISA rate if the data still lives in
-  // controller memory — and returns the real folded sum for verification.
-  std::uint16_t InCksumChain(const Mbuf* m, std::size_t len);
+  // controller memory — and returns the real folded sum of those bytes,
+  // seeded with `initial` (a pseudo-header sum), summed where they lie.
+  // 0xFFFF verifies a packet that carries its checksum.
+  std::uint16_t InCksumChain(const Mbuf* m, std::size_t len, std::uint32_t initial = 0);
 
   // --- Socket layer (profiled) -------------------------------------------------
   std::shared_ptr<Socket> SoCreate(Socket::Proto proto);
@@ -211,7 +215,9 @@ class NetStack {
 
  private:
   void IpInput(Mbuf* m);
-  void TcpInput(const IpHeader& ih, const Bytes& segment, Mbuf* chain);
+  // Protocol input for one transport chain (the segment or datagram bytes,
+  // IP header and padding trimmed).
+  void TcpInput(const IpHeader& ih, Mbuf* chain);
   // Sends a control/ACK segment on `tp` (flags always include ACK).
   void TcpRespond(Tcpcb& tp, std::uint8_t flags);
   // Drains the send buffer within the peer's window (tcp_output with data).
@@ -222,7 +228,7 @@ class NetStack {
   // Send-buffer bookkeeping (sbappend/sbdrop on so.snd).
   void SbAppendSnd(Socket& so, Mbuf* m);
   void SbDropSnd(Socket& so, std::size_t len);
-  void UdpInput(const IpHeader& ih, const Bytes& datagram, Mbuf* chain);
+  void UdpInput(const IpHeader& ih, Mbuf* chain);
 
   // in_pcblookup: exact (connection) match first, then wildcard (listener).
   Socket* PcbLookup(std::uint8_t proto, std::uint16_t lport, std::uint32_t faddr,
@@ -237,9 +243,10 @@ class NetStack {
     std::size_t total = 0;  // known once the last fragment arrives
     bool in_isa = false;
   };
-  // Reassembles one fragment; returns the completed payload chain (and
-  // fills `*out_ih`) or nullptr while fragments are still outstanding.
-  Mbuf* IpReass(const IpHeader& ih, const Bytes& payload, Mbuf* chain, IpHeader* out_ih);
+  // Reassembles one fragment (`chain` holds its payload); returns the
+  // completed payload chain (and fills `*out_ih`) or nullptr while fragments
+  // are still outstanding.
+  Mbuf* IpReass(const IpHeader& ih, Mbuf* chain, IpHeader* out_ih);
 
   Kernel& kernel_;
   EtherSegment& wire_;

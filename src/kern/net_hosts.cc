@@ -1,8 +1,10 @@
 #include "src/kern/net_hosts.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "src/base/assert.h"
 
@@ -10,6 +12,28 @@ namespace hwprof {
 namespace {
 
 constexpr Nanoseconds kRetransmitTimeout = 200 * kMillisecond;
+
+// PayloadByte(i) depends only on i mod 256: one period of the stream, which
+// FillPayload copies out in runs.
+constexpr std::array<std::uint8_t, 256> kPayloadPeriod = [] {
+  std::array<std::uint8_t, 256> period{};
+  for (std::size_t i = 0; i < period.size(); ++i) {
+    period[i] = SenderHost::PayloadByte(i);
+  }
+  return period;
+}();
+
+// Writes the stream's bytes [offset, offset + len) to `out`.
+void FillPayload(std::uint8_t* out, std::uint64_t offset, std::size_t len) {
+  while (len > 0) {
+    const std::size_t phase = offset % kPayloadPeriod.size();
+    const std::size_t take = std::min(len, kPayloadPeriod.size() - phase);
+    std::memcpy(out, kPayloadPeriod.data() + phase, take);
+    out += take;
+    offset += take;
+    len -= take;
+  }
+}
 
 }  // namespace
 
@@ -47,16 +71,13 @@ void SenderHost::SendSegment(std::uint32_t seq_off, std::size_t len, std::uint8_
   th.flags = flags;
   th.win = 0xFFFF;
 
-  Bytes payload(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    payload[i] = PayloadByte(seq_off + i);
-  }
-  const Bytes segment = BuildTcpSegment(ih, th, payload);
-  const Bytes packet = BuildIpPacket(ih, segment);
+  Bytes frame(kTcpPayloadOffset + len);
+  FillPayload(frame.data() + kTcpPayloadOffset, seq_off, len);
   EtherHeader eh;
   eh.src = node_id_;
   eh.dst = kPcNodeId;
-  wire_.Transmit(node_id_, BuildEtherFrame(eh, packet));
+  FinishTcpFrame(frame, eh, ih, th);
+  wire_.Transmit(node_id_, std::move(frame));
   ++segments_sent_;
 }
 
@@ -107,20 +128,20 @@ void SenderHost::ArmRetransmit() {
   });
 }
 
-void SenderHost::OnFrame(const Bytes& frame) {
+void SenderHost::OnFrame(Bytes frame) {
   EtherHeader eh;
-  Bytes ip_packet;
+  ByteView ip_packet;
   if (!ParseEtherFrame(frame, &eh, &ip_packet) || eh.type != kEtherTypeIp) {
     return;
   }
   IpHeader ih;
-  Bytes ip_payload;
+  ByteView ip_payload;
   if (!ParseIpPacket(ip_packet, &ih, &ip_payload) || ih.dst != ip_ ||
       ih.proto != kIpProtoTcp) {
     return;
   }
   TcpHeader th;
-  Bytes payload;
+  ByteView payload;
   bool cksum_ok = false;
   if (!ParseTcpSegment(ih, ip_payload, &th, &payload, &cksum_ok) || !cksum_ok ||
       th.sport != dport_ || th.dport != sport_) {
@@ -188,27 +209,28 @@ void ReceiverHost::Send(std::uint8_t flags, std::uint32_t seq, std::uint32_t ack
   th.flags = flags;
   th.win = static_cast<std::uint16_t>(
       window_ > 0xFFFF ? 0xFFFF : window_);
-  const Bytes segment = BuildTcpSegment(ih, th, Bytes{});
   EtherHeader eh;
   eh.src = kSenderNodeId;
   eh.dst = kPcNodeId;
-  wire_.Transmit(kSenderNodeId, BuildEtherFrame(eh, BuildIpPacket(ih, segment)));
+  Bytes frame(kTcpPayloadOffset);
+  FinishTcpFrame(frame, eh, ih, th);
+  wire_.Transmit(kSenderNodeId, std::move(frame));
 }
 
-void ReceiverHost::OnFrame(const Bytes& frame) {
+void ReceiverHost::OnFrame(Bytes frame) {
   EtherHeader eh;
-  Bytes ip_packet;
+  ByteView ip_packet;
   if (!ParseEtherFrame(frame, &eh, &ip_packet) || eh.type != kEtherTypeIp) {
     return;
   }
   IpHeader ih;
-  Bytes ip_payload;
+  ByteView ip_payload;
   if (!ParseIpPacket(ip_packet, &ih, &ip_payload) || ih.dst != kSenderIpAddr ||
       ih.proto != kIpProtoTcp) {
     return;
   }
   TcpHeader th;
-  Bytes payload;
+  ByteView payload;
   bool cksum_ok = false;
   if (!ParseTcpSegment(ih, ip_payload, &th, &payload, &cksum_ok) || !cksum_ok ||
       th.dport != port_) {

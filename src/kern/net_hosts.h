@@ -25,7 +25,7 @@ class SenderHost : public EtherNode {
   SenderHost(Machine& machine, EtherSegment& wire, std::uint8_t node_id, std::uint32_t ip);
 
   std::uint8_t node_id() const override { return node_id_; }
-  void OnFrame(const Bytes& frame) override;
+  void OnFrame(Bytes frame) override;
 
   // Connects to dst:dport and streams `total_bytes` of deterministic
   // payload, `mss` bytes per segment.
@@ -40,7 +40,7 @@ class SenderHost : public EtherNode {
 
   // The deterministic payload byte at stream offset `i` (for integrity
   // checks on the receiver side).
-  static std::uint8_t PayloadByte(std::uint64_t i) {
+  static constexpr std::uint8_t PayloadByte(std::uint64_t i) {
     return static_cast<std::uint8_t>((i * 31 + 7) & 0xFF);
   }
 
@@ -88,7 +88,7 @@ class ReceiverHost : public EtherNode {
   ReceiverHost(Machine& machine, EtherSegment& wire, std::uint16_t port);
 
   std::uint8_t node_id() const override { return kSenderNodeId; }
-  void OnFrame(const Bytes& frame) override;
+  void OnFrame(Bytes frame) override;
 
   // Advertised receive window (default 16 KiB).
   void SetWindow(std::size_t window) { window_ = window; }

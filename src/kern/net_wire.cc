@@ -42,11 +42,19 @@ Nanoseconds EtherSegment::Transmit(std::uint8_t sender, Bytes frame) {
   busy_until_ = done;
   ++frames_carried_;
   bytes_carried_ += frame.size();
-  machine_.events().ScheduleAt(done, [this, sender, f = std::move(frame)] {
+  machine_.events().ScheduleAt(done, [this, sender, f = std::move(frame)]() mutable {
+    EtherNode* last = nullptr;
     for (EtherNode* node : nodes_) {
-      if (node->node_id() != sender) {
-        node->OnFrame(f);
+      if (node->node_id() == sender) {
+        continue;
       }
+      if (last != nullptr) {
+        last->OnFrame(f);
+      }
+      last = node;
+    }
+    if (last != nullptr) {
+      last->OnFrame(std::move(f));
     }
   });
   return done;

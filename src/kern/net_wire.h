@@ -29,9 +29,10 @@ class EtherNode {
   virtual ~EtherNode();
   // Node id = the low byte of the station's MAC address.
   virtual std::uint8_t node_id() const = 0;
-  // Called at frame delivery time (end of the frame on the wire). Must not
-  // attach or detach nodes.
-  virtual void OnFrame(const Bytes& frame) = 0;
+  // Called at frame delivery time (end of the frame on the wire), with the
+  // node's own copy of the frame to keep or drop. Must not attach or detach
+  // nodes.
+  virtual void OnFrame(Bytes frame) = 0;
 
  private:
   friend class EtherSegment;
@@ -54,7 +55,9 @@ class EtherSegment {
 
   // Queues `frame` for transmission from `sender`. The frame goes on the
   // wire as soon as the medium is free and is delivered to all other nodes
-  // when fully transmitted. Returns the delivery (end-of-frame) time.
+  // when fully transmitted; the last of them receives the frame itself, so a
+  // frame with one receiver is never copied. Returns the delivery
+  // (end-of-frame) time.
   Nanoseconds Transmit(std::uint8_t sender, Bytes frame);
 
   // Earliest time the medium is free.

@@ -15,7 +15,7 @@ void Put32Le(Bytes* b, std::uint32_t v) {
   }
 }
 
-std::uint32_t Get32Le(const Bytes& b, std::size_t off) {
+std::uint32_t Get32Le(ByteView b, std::size_t off) {
   std::uint32_t v = 0;
   for (int shift = 0, i = 0; shift < 32; shift += 8, ++i) {
     v |= static_cast<std::uint32_t>(b[off + static_cast<std::size_t>(i)]) << shift;
@@ -45,19 +45,20 @@ const Bytes& NfsServerHost::Contents(std::uint32_t fh) const {
   return it->second;
 }
 
-void NfsServerHost::OnFrame(const Bytes& frame) {
+void NfsServerHost::OnFrame(Bytes frame) {
   EtherHeader eh;
-  Bytes ip_packet;
+  ByteView ip_packet;
   if (!ParseEtherFrame(frame, &eh, &ip_packet) || eh.type != kEtherTypeIp) {
     return;
   }
   IpHeader ih;
-  Bytes ip_payload;
+  ByteView ip_payload;
   if (!ParseIpPacket(ip_packet, &ih, &ip_payload) || ih.dst != kNfsIpAddr ||
       ih.proto != kIpProtoUdp) {
     return;
   }
   // Reassemble fragmented requests (large WRITEs).
+  Bytes whole;
   if (ih.more_frags || ih.frag_off != 0) {
     Frag& frag = frags_[ih.id];
     if (frag.data.size() < ih.frag_off + ip_payload.size()) {
@@ -73,12 +74,13 @@ void NfsServerHost::OnFrame(const Bytes& frame) {
     if (!frag.have_last || frag.received < frag.total) {
       return;
     }
-    ip_payload = std::move(frag.data);
-    ip_payload.resize(frag.total);
+    whole = std::move(frag.data);
+    whole.resize(frag.total);
     frags_.erase(ih.id);
+    ip_payload = whole;
   }
   UdpHeader uh;
-  Bytes rpc;
+  ByteView rpc;
   bool cksum_ok = false;
   if (!ParseUdpDatagram(ih, ip_payload, &uh, &rpc, &cksum_ok) || !cksum_ok ||
       uh.dport != kNfsPort || rpc.size() < 13) {

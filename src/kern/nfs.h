@@ -40,7 +40,7 @@ class NfsServerHost : public EtherNode {
   NfsServerHost(Machine& machine, EtherSegment& wire);
 
   std::uint8_t node_id() const override { return kNfsServerNodeId; }
-  void OnFrame(const Bytes& frame) override;
+  void OnFrame(Bytes frame) override;
 
   // Export management (fh is returned to clients via fixed assignment).
   std::uint32_t Export(const std::string& name, Bytes contents);

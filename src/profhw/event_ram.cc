@@ -9,18 +9,6 @@ EventRam::EventRam(std::size_t depth) : depth_(depth) {
   words_.reserve(depth);
 }
 
-bool EventRam::Store(std::uint16_t tag, std::uint32_t timestamp) {
-  if (sealed_) {
-    return false;
-  }
-  if (words_.size() >= depth_) {
-    overflowed_ = true;
-    return false;
-  }
-  words_.push_back(RawEvent{tag, timestamp});
-  return true;
-}
-
 void EventRam::Reset() {
   words_.clear();
   overflowed_ = false;

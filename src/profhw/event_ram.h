@@ -30,7 +30,17 @@ class EventRam {
 
   // Stores one event word. Returns false (and latches overflow) once full,
   // or (without latching) while sealed.
-  bool Store(std::uint16_t tag, std::uint32_t timestamp);
+  bool Store(std::uint16_t tag, std::uint32_t timestamp) {
+    if (sealed_) {
+      return false;
+    }
+    if (words_.size() >= depth_) {
+      overflowed_ = true;
+      return false;
+    }
+    words_.push_back(RawEvent{tag, timestamp});
+    return true;
+  }
 
   // Clears contents, the address counter, and the overflow and seal latches.
   void Reset();

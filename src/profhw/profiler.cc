@@ -65,40 +65,11 @@ void Profiler::SealActiveAndSwap() {
   ++bank_switches_;
 }
 
-void Profiler::StoreDoubleBuffered(std::uint16_t tag, std::uint32_t timestamp) {
-  EventRam* act = &bank(active_);
-  if (act->full()) {
-    if (sealed_ >= 0) {
-      // Both banks hold data: the drain lost the race. Count the loss.
-      ++dropped_;
-      ++pending_drops_;
-      OBS_COUNT("profhw.drops", 1);
-      return;
-    }
-    SealActiveAndSwap();
-    act = &bank(active_);
-  }
-  act->Store(tag, timestamp);
-  ++total_captured_;
-}
-
-void Profiler::OnEpromRead(std::uint16_t addr_lines, Nanoseconds now) {
-  if (double_buffer_) {
-    if (addr_lines >= kDrainWindowBase) {
-      return;  // drain-port cycle: A15 gates the event latch
-    }
-    if (!armed_) {
-      return;
-    }
-    StoreDoubleBuffered(addr_lines, timer_.Sample(now));
-    return;
-  }
-  if (!armed_ || readout_) {
-    return;
-  }
-  // The PAL gates the store on the armed flip-flop and the not-overflowed
-  // latch; the RAM handles the latter.
-  ram_.Store(addr_lines, timer_.Sample(now));
+void Profiler::DropEvent() {
+  // Both banks hold data: the drain lost the race. Count the loss.
+  ++dropped_;
+  ++pending_drops_;
+  OBS_COUNT("profhw.drops", 1);
 }
 
 void Profiler::EnterReadoutMode(ReadoutBank bank) {

@@ -74,7 +74,7 @@ inline constexpr std::uint16_t kDrainReleasePort = kDrainWindowBase + 10;
 inline constexpr std::uint16_t kDrainSealPort = kDrainWindowBase + 11;
 inline constexpr std::uint8_t kDrainAck = 0xA5;
 
-class Profiler : public EpromTapListener {
+class Profiler final : public EpromTapListener {
  public:
   explicit Profiler(ProfilerConfig config = ProfilerConfig{});
 
@@ -114,8 +114,27 @@ class Profiler : public EpromTapListener {
   // bank header; reported by the host's final flush).
   std::uint64_t pending_drops() const { return pending_drops_; }
 
-  // EpromTapListener: one bus read decoded to the socket.
-  void OnEpromRead(std::uint16_t addr_lines, Nanoseconds now) override;
+  // EpromTapListener: one bus read decoded to the socket — every profiling
+  // trigger. Inline, with the store it makes, so a trigger's host cost is
+  // the one call into the listener.
+  void OnEpromRead(std::uint16_t addr_lines, Nanoseconds now) override {
+    if (double_buffer_) {
+      if (addr_lines >= kDrainWindowBase) {
+        return;  // drain-port cycle: A15 gates the event latch
+      }
+      if (!armed_) {
+        return;
+      }
+      StoreDoubleBuffered(addr_lines, timer_.Sample(now));
+      return;
+    }
+    if (!armed_ || readout_) {
+      return;
+    }
+    // The PAL gates the store on the armed flip-flop and the not-overflowed
+    // latch; the RAM handles the latter.
+    ram_.Store(addr_lines, timer_.Sample(now));
+  }
 
   // --- ZIF readout (single-buffer boards) ------------------------------------
   // Multiplexes a storage RAM bank into the socket window so the *target*
@@ -147,7 +166,21 @@ class Profiler : public EpromTapListener {
  private:
   EventRam& bank(int i) { return i == 0 ? ram_ : ram_b_; }
   const EventRam& bank(int i) const { return i == 0 ? ram_ : ram_b_; }
-  void StoreDoubleBuffered(std::uint16_t tag, std::uint32_t timestamp);
+  void StoreDoubleBuffered(std::uint16_t tag, std::uint32_t timestamp) {
+    EventRam* act = &bank(active_);
+    if (act->full()) {
+      if (sealed_ >= 0) {
+        DropEvent();
+        return;
+      }
+      SealActiveAndSwap();
+      act = &bank(active_);
+    }
+    act->Store(tag, timestamp);
+    ++total_captured_;
+  }
+  // Counts an event lost because both banks hold data.
+  void DropEvent();
   // Seals the active bank and swaps capture to the other one. The caller
   // guarantees no bank is currently sealed.
   void SealActiveAndSwap();

@@ -7,14 +7,7 @@ UsecTimer::UsecTimer(unsigned bits, std::uint64_t clock_hz)
   HWPROF_CHECK_MSG(bits >= 8 && bits <= 32, "timer width must be 8..32 bits");
   HWPROF_CHECK(clock_hz > 0);
   mask_ = bits == 32 ? 0xFFFFFFFFu : ((1u << bits) - 1u);
-}
-
-std::uint32_t UsecTimer::Sample(Nanoseconds now) const {
-  // ticks = now * clock_hz / 1e9, computed without overflow for the clock
-  // rates of interest (<= ~4 GHz).
-  const unsigned __int128 ticks =
-      static_cast<unsigned __int128>(now) * clock_hz_ / 1'000'000'000ULL;
-  return static_cast<std::uint32_t>(ticks) & mask_;
+  ns_per_tick_ = 1'000'000'000ULL % clock_hz == 0 ? 1'000'000'000ULL / clock_hz : 0;
 }
 
 Nanoseconds UsecTimer::WrapPeriod() const {
@@ -25,11 +18,6 @@ Nanoseconds UsecTimer::WrapPeriod() const {
 
 std::uint32_t UsecTimer::TicksBetween(std::uint32_t earlier, std::uint32_t later) const {
   return (later - earlier) & mask_;
-}
-
-Nanoseconds UsecTimer::TicksToNs(std::uint64_t ticks) const {
-  return static_cast<Nanoseconds>(static_cast<unsigned __int128>(ticks) * 1'000'000'000ULL /
-                                  clock_hz_);
 }
 
 }  // namespace hwprof

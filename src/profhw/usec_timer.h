@@ -29,8 +29,16 @@ class UsecTimer {
   // Counter mask (2^bits - 1).
   std::uint32_t Mask() const { return mask_; }
 
-  // Raw counter value latched at virtual time `now`.
-  std::uint32_t Sample(Nanoseconds now) const;
+  // Raw counter value latched at virtual time `now`:
+  // floor(now * clock_hz / 10^9), masked to the counter width.
+  std::uint32_t Sample(Nanoseconds now) const {
+    if (ns_per_tick_ != 0) {
+      return static_cast<std::uint32_t>(now / ns_per_tick_) & mask_;
+    }
+    const unsigned __int128 ticks =
+        static_cast<unsigned __int128>(now) * clock_hz_ / 1'000'000'000ULL;
+    return static_cast<std::uint32_t>(ticks) & mask_;
+  }
 
   // Longest interval between two events that is still unambiguous, in
   // nanoseconds (one full wrap period).
@@ -40,13 +48,24 @@ class UsecTimer {
   // assuming at most one wrap between them (the analyser's contract).
   std::uint32_t TicksBetween(std::uint32_t earlier, std::uint32_t later) const;
 
-  // Converts timer ticks to nanoseconds.
-  Nanoseconds TicksToNs(std::uint64_t ticks) const;
+  // Converts timer ticks to nanoseconds: floor(ticks * 10^9 / clock_hz),
+  // modulo 2^64.
+  Nanoseconds TicksToNs(std::uint64_t ticks) const {
+    if (ns_per_tick_ != 0) {
+      return ticks * ns_per_tick_;
+    }
+    return static_cast<Nanoseconds>(static_cast<unsigned __int128>(ticks) * 1'000'000'000ULL /
+                                    clock_hz_);
+  }
 
  private:
   unsigned bits_;
   std::uint64_t clock_hz_;
   std::uint32_t mask_;
+  // 10^9 / clock_hz when the rate divides 10^9 (1 MHz: 1000), else 0. A
+  // whole tick length makes both conversions exact without the 128-bit
+  // product and division the other rates need.
+  std::uint64_t ns_per_tick_;
 };
 
 }  // namespace hwprof

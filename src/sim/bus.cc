@@ -23,30 +23,6 @@ void IsaBus::RemoveTapListener(EpromTapListener* listener) {
                    listeners_.end());
 }
 
-Nanoseconds IsaBus::Read8(std::uint32_t phys, Nanoseconds now, std::uint8_t* data) {
-  HWPROF_CHECK_MSG(phys >= kIsaHoleBase && phys < kIsaHoleEnd,
-                   "8-bit read outside the ISA hole");
-  if (data != nullptr) {
-    *data = 0xFF;  // floating bus unless a device drives it
-  }
-  if (eprom_base_ != 0 && phys >= eprom_base_ && phys < eprom_base_ + kEpromWindowSize) {
-    ++eprom_reads_;
-    const auto addr_lines = static_cast<std::uint16_t>(phys - eprom_base_);
-    for (EpromTapListener* l : listeners_) {
-      l->OnEpromRead(addr_lines, now);
-      std::uint8_t byte = 0;
-      if (data != nullptr && l->ProvideEpromData(addr_lines, &byte)) {
-        *data = byte;
-      }
-    }
-  }
-  // One 8-bit ISA memory cycle: ~3 BCLK at 8.33 MHz plus wait states; the
-  // profiling-relevant figure is that two of these per function cost the
-  // paper ~400 ns, so a single cycle is ~200 ns. The CPU charges this cost
-  // via the cost model; the bus itself reports a nominal occupancy.
-  return 200;
-}
-
 void IsaBus::ReadSpan(std::uint32_t phys, Nanoseconds now, std::uint8_t* data, std::size_t n) {
   HWPROF_CHECK_MSG(phys >= kIsaHoleBase && phys < kIsaHoleEnd,
                    "8-bit read outside the ISA hole");
@@ -70,16 +46,6 @@ void AddressMap::MapKernel(std::uint32_t kernel_size) {
 std::uint32_t AddressMap::IsaVirtualBase() const {
   HWPROF_CHECK_MSG(mapped_, "kernel not yet mapped");
   return isa_va_base_;
-}
-
-bool AddressMap::VirtualToIsaPhys(std::uint32_t va, std::uint32_t* phys) const {
-  HWPROF_CHECK_MSG(mapped_, "kernel not yet mapped");
-  const std::uint32_t hole_size = kIsaHoleEnd - kIsaHoleBase;
-  if (va < isa_va_base_ || va >= isa_va_base_ + hole_size) {
-    return false;
-  }
-  *phys = kIsaHoleBase + (va - isa_va_base_);
-  return true;
 }
 
 }  // namespace hwprof

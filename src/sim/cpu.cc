@@ -22,8 +22,7 @@ void Cpu::DispatchAt(Nanoseconds* deadline) {
   }
 }
 
-void Cpu::Use(Nanoseconds cost) {
-  Nanoseconds deadline = clock_->Now() + cost;
+void Cpu::UseUntil(Nanoseconds deadline) {
   while (clock_->Now() < deadline) {
     const Nanoseconds next = queue_->NextTime();
     if (next <= clock_->Now()) {

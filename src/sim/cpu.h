@@ -33,7 +33,16 @@ class Cpu {
   // Consumes `cost` of CPU time. Device events inside the window fire at
   // their scheduled virtual times; time spent inside interrupt service
   // extends the window (preemption, not theft).
-  void Use(Nanoseconds cost);
+  void Use(Nanoseconds cost) {
+    const Nanoseconds deadline = clock_->Now() + cost;
+    if (queue_->NextTime() >= deadline) {
+      // No event falls inside the window: the common case, inline.
+      busy_ns_ += cost;
+      clock_->AdvanceTo(deadline);
+      return;
+    }
+    UseUntil(deadline);
+  }
 
   // Exactly `count` back-to-back Use(cost) calls — same clock, busy time,
   // event dispatch instants and interrupt-hook runs — in as few Use calls as
@@ -61,6 +70,9 @@ class Cpu {
   VirtualClock& clock() { return *clock_; }
 
  private:
+  // Use's general case: runs to `deadline`, dispatching the events inside
+  // the window and extending it by their interrupt service time.
+  void UseUntil(Nanoseconds deadline);
   // Dispatches due events and the hook; adds interrupt service time to
   // `*deadline` when provided.
   void DispatchAt(Nanoseconds* deadline);

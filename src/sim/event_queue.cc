@@ -25,13 +25,6 @@ bool EventQueue::Cancel(EventId id) {
   return true;
 }
 
-Nanoseconds EventQueue::NextTime() const {
-  if (events_.empty()) {
-    return kNever;
-  }
-  return events_.begin()->first.when;
-}
-
 void EventQueue::RunDue(Nanoseconds now) {
   while (!events_.empty() && events_.begin()->first.when <= now) {
     auto it = events_.begin();

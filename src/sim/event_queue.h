@@ -35,7 +35,9 @@ class EventQueue {
   bool Cancel(EventId id);
 
   // Absolute time of the earliest pending event, or kNever if empty.
-  Nanoseconds NextTime() const;
+  Nanoseconds NextTime() const {
+    return events_.empty() ? kNever : events_.begin()->first.when;
+  }
 
   // Runs all events scheduled at or before `now`, in time order. Events may
   // schedule further events; newly due ones run in the same call.

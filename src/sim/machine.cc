@@ -29,14 +29,4 @@ void Machine::SocketReadSpan(std::uint32_t va, std::uint8_t* data, std::size_t n
   }
 }
 
-void Machine::TriggerRead(std::uint32_t va) {
-  // The trigger instruction itself (movb _ProfileBase+tag,%al) costs one ISA
-  // bus cycle; this is the measurable intrusiveness of the whole scheme.
-  cpu_.Use(cost_.trigger_read_ns);
-  std::uint32_t phys = 0;
-  if (address_map_.mapped() && address_map_.VirtualToIsaPhys(va, &phys)) {
-    bus_.Read8(phys, clock_.Now());
-  }
-}
-
 }  // namespace hwprof

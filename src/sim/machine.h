@@ -57,8 +57,19 @@ class Machine {
   // `va`, translated through the ISA remap and decoded on the bus (where the
   // Profiler, if attached, latches the event). Charges the trigger cost.
   // Reads outside the remapped ISA window are ignored (an uninstrumented
-  // build pokes nothing).
-  void TriggerRead(std::uint32_t va);
+  // build pokes nothing). Inline, with the bus read and the common case of
+  // the CPU charge, so a trigger costs the host one call: the tap
+  // listener's.
+  void TriggerRead(std::uint32_t va) {
+    // The trigger instruction itself (movb _ProfileBase+tag,%al) costs one
+    // ISA bus cycle; this is the measurable intrusiveness of the whole
+    // scheme.
+    cpu_.Use(cost_.trigger_read_ns);
+    std::uint32_t phys = 0;
+    if (address_map_.mapped() && address_map_.VirtualToIsaPhys(va, &phys)) {
+      bus_.Read8(phys, clock_.Now());
+    }
+  }
 
  private:
   CostModel cost_;

@@ -13,7 +13,7 @@ void Put32Le(Bytes* b, std::uint32_t v) {
   }
 }
 
-std::uint32_t Get32Le(const Bytes& b, std::size_t off) {
+std::uint32_t Get32Le(ByteView b, std::size_t off) {
   std::uint32_t v = 0;
   for (int shift = 0, i = 0; shift < 32; shift += 8, ++i) {
     v |= static_cast<std::uint32_t>(b[off + static_cast<std::size_t>(i)]) << shift;
@@ -62,7 +62,7 @@ Bytes EncodeReply(std::uint32_t xid, std::uint8_t status, const Oid& oid,
   return out;
 }
 
-bool DecodeReply(const Bytes& in, std::uint32_t* xid, std::uint8_t* status, Oid* oid,
+bool DecodeReply(ByteView in, std::uint32_t* xid, std::uint8_t* status, Oid* oid,
                  std::string* value) {
   if (in.size() < 6) {
     return false;
@@ -221,20 +221,20 @@ void SnmpClientHost::SendNext() {
   });
 }
 
-void SnmpClientHost::OnFrame(const Bytes& frame) {
+void SnmpClientHost::OnFrame(Bytes frame) {
   EtherHeader eh;
-  Bytes ip_packet;
+  ByteView ip_packet;
   if (!ParseEtherFrame(frame, &eh, &ip_packet) || eh.type != kEtherTypeIp) {
     return;
   }
   IpHeader ih;
-  Bytes ip_payload;
+  ByteView ip_payload;
   if (!ParseIpPacket(ip_packet, &ih, &ip_payload) || ih.dst != kSenderIpAddr ||
       ih.proto != kIpProtoUdp) {
     return;
   }
   UdpHeader uh;
-  Bytes reply;
+  ByteView reply;
   bool cksum_ok = false;
   if (!ParseUdpDatagram(ih, ip_payload, &uh, &reply, &cksum_ok) || uh.sport != kSnmpPort) {
     return;

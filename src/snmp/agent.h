@@ -77,7 +77,7 @@ class SnmpClientHost : public EtherNode {
                  std::uint64_t seed);
 
   std::uint8_t node_id() const override { return kSenderNodeId; }
-  void OnFrame(const Bytes& frame) override;
+  void OnFrame(Bytes frame) override;
 
   // Starts firing `total` requests, a new one per reply (plus a retry timer).
   void Start(std::uint32_t total);

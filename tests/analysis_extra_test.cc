@@ -94,7 +94,7 @@ TEST(IpFragments, SmallPayloadIsOnePacket) {
   const auto packets = BuildIpFragments(ih, Bytes(100, 7));
   ASSERT_EQ(packets.size(), 1u);
   IpHeader parsed;
-  Bytes payload;
+  ByteView payload;
   ASSERT_TRUE(ParseIpPacket(packets[0], &parsed, &payload));
   EXPECT_FALSE(parsed.more_frags);
   EXPECT_EQ(parsed.frag_off, 0);
@@ -118,7 +118,7 @@ TEST_P(IpFragmentSizeTest, FragmentsReassembleExactly) {
   bool saw_last = false;
   for (const Bytes& packet : packets) {
     IpHeader parsed;
-    Bytes part;
+    ByteView part;
     ASSERT_TRUE(ParseIpPacket(packet, &parsed, &part));
     EXPECT_EQ(parsed.id, 42);
     if (whole.size() < parsed.frag_off + part.size()) {

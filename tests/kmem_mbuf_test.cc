@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/kern/kmem.h"
 #include "src/kern/mbuf.h"
+#include "src/kern/net_pkt.h"
 #include "src/kern/user_env.h"
 #include "src/workloads/testbed.h"
 
@@ -88,6 +91,13 @@ TEST(Mbuf, SmallAndClusterCapacity) {
   });
 }
 
+// The chain's bytes, copied out with m_copydata.
+Bytes Flatten(const Mbuf* chain) {
+  Bytes out(MbufPool::ChainLen(chain));
+  EXPECT_EQ(MbufPool::CopyData(chain, 0, out.size(), out.data()), out.size());
+  return out;
+}
+
 class MbufRoundTripTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MbufRoundTripTest, FromBytesToBytesPreservesPayload) {
@@ -101,7 +111,7 @@ TEST_P(MbufRoundTripTest, FromBytesToBytesPreservesPayload) {
     Mbuf* chain = k.mbufs().FromBytes(payload, false);
     EXPECT_EQ(MbufPool::ChainLen(chain), size);
     EXPECT_EQ(chain->pkthdr_len, size);
-    EXPECT_EQ(MbufPool::ToBytes(chain), payload);
+    EXPECT_EQ(Flatten(chain), payload);
     k.mbufs().MFreem(chain);
     EXPECT_EQ(k.mbufs().live(), 0u);
   });
@@ -120,9 +130,41 @@ TEST(Mbuf, AdjFrontTrimsAcrossMbufs) {
     }
     Mbuf* chain = k.mbufs().FromBytes(payload, false);
     chain = k.mbufs().AdjFront(chain, 150);
-    const Bytes rest = MbufPool::ToBytes(chain);
+    const Bytes rest = Flatten(chain);
     ASSERT_EQ(rest.size(), 150u);
     EXPECT_EQ(rest[0], static_cast<std::uint8_t>(150));
+    k.mbufs().MFreem(chain);
+  });
+}
+
+TEST(Mbuf, CopyDataAndFrontReadAcrossMbufs) {
+  Testbed tb;
+  InProc(tb, [](Kernel& k) {
+    Bytes payload(1500);
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<std::uint8_t>(i * 11);
+    }
+    // A 5-byte mbuf, then a cluster and a small mbuf for the rest.
+    Mbuf* chain = k.mbufs().FromBytes(ByteView(payload).first(5), false);
+    chain->next = k.mbufs().FromBytes(ByteView(payload).subspan(5), false);
+    for (const std::size_t off : {0, 3, 5, 6, 1028, 1029, 1499, 1500}) {
+      Bytes out(40, 0xEE);
+      const std::size_t got = MbufPool::CopyData(chain, off, out.size(), out.data());
+      const std::size_t want = std::min<std::size_t>(40, payload.size() - off);
+      ASSERT_EQ(got, want) << off;
+      EXPECT_TRUE(std::equal(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(got),
+                             payload.begin() + static_cast<std::ptrdiff_t>(off)))
+          << off;
+    }
+    // Front: in place when the first mbuf holds the bytes, else via scratch.
+    std::uint8_t scratch[20];
+    const ByteView head = MbufPool::Front(chain, 4, scratch);
+    EXPECT_EQ(head.data(), chain->data.data());
+    const ByteView straddling = MbufPool::Front(chain, 20, scratch);
+    EXPECT_EQ(straddling.data(), scratch);
+    EXPECT_EQ(Bytes(straddling.begin(), straddling.end()),
+              Bytes(payload.begin(), payload.begin() + 20));
+    EXPECT_TRUE(MbufPool::Front(nullptr, 20, scratch).empty());
     k.mbufs().MFreem(chain);
   });
 }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "src/base/rng.h"
 #include "src/kern/net.h"
 #include "src/kern/net_hosts.h"
 #include "src/kern/nfs.h"
@@ -258,6 +260,103 @@ TEST(NetStack, ShortChainChecksumSumsAndChargesOnlyExistingBytes) {
   k.net().InCksumChain(longer, 400);
   EXPECT_GT(k.cpu().busy_ns() - before_long, short_cost);
   k.mbufs().MFreem(longer);
+}
+
+// Links `rest` behind the last mbuf of `head`.
+void Append(Mbuf* head, Mbuf* rest) {
+  while (head->next != nullptr) {
+    head = head->next;
+  }
+  head->next = rest;
+}
+
+TEST(NetStack, ChainChecksumEqualsTheFlatSumWhereverTheChainSplits) {
+  // in_cksum sums each mbuf where it lies, carrying an odd byte into the
+  // next mbuf: at every split of a 1,460-byte payload (FromBytes lays each
+  // side out in small mbufs or clusters by its size), over any length and
+  // from any seed, the sum must be the flat bytes' sum, under both loops.
+  Rng rng(1460);
+  Bytes payload(1460);
+  for (std::uint8_t& b : payload) {
+    b = static_cast<std::uint8_t>(rng.NextBelow(256));
+  }
+  const ByteView all(payload);
+  for (const bool unrolled : {false, true}) {
+    TestbedConfig config;
+    config.kernel.knobs.cksum_unrolled = unrolled;
+    Testbed tb(config);
+    Kernel& k = tb.kernel();
+    for (std::size_t at = 0; at <= payload.size(); ++at) {
+      Mbuf* chain = k.mbufs().FromBytes(all.first(at), false);
+      Append(chain, k.mbufs().FromBytes(all.subspan(at), false));
+      for (const std::size_t len : {0, 1, 19, 20, 21, 731, 1459, 1460}) {
+        ASSERT_EQ(k.net().InCksumChain(chain, len), InetSum(all.first(len)))
+            << "unrolled=" << unrolled << " split at " << at << " len " << len;
+      }
+      const std::uint32_t seed = 0x2F0A1 + static_cast<std::uint32_t>(at);
+      ASSERT_EQ(k.net().InCksumChain(chain, payload.size(), seed), InetSum(all, seed))
+          << "unrolled=" << unrolled << " split at " << at;
+      k.mbufs().MFreem(chain);
+    }
+    // A run of short mbufs of every parity, then clusters for the rest.
+    Mbuf* chain = k.mbufs().FromBytes(all.first(1), false);
+    std::size_t off = 1;
+    for (std::size_t piece = 2; off + piece <= 200; ++piece) {
+      Append(chain, k.mbufs().FromBytes(all.subspan(off, piece), false));
+      off += piece;
+    }
+    Append(chain, k.mbufs().FromBytes(all.subspan(off), false));
+    EXPECT_EQ(k.net().InCksumChain(chain, payload.size()), InetSum(all));
+    EXPECT_EQ(k.net().cksum_short_chains(), 0u);
+    k.mbufs().MFreem(chain);
+  }
+}
+
+TEST(NetStack, EveryCorruptByteOfAReceivedSegmentIsOneChecksumFailure) {
+  // A TCP frame to a port nobody listens on is dropped without a checksum
+  // failure when intact; with any one byte of its IP header or TCP segment
+  // corrupted, it must raise cksum_failures by exactly one. The 1,101-byte
+  // payload arrives in two mbufs.
+  for (const std::size_t payload_len : {std::size_t{101}, std::size_t{1101}}) {
+    Testbed tb;
+    Kernel& k = tb.kernel();
+    IpHeader ih;
+    ih.proto = kIpProtoTcp;
+    ih.src = kSenderIpAddr;
+    ih.dst = kPcIpAddr;
+    ih.id = 7;
+    TcpHeader th;
+    th.sport = 1234;
+    th.dport = 4321;
+    th.seq = 99;
+    th.flags = TcpHeader::kAck;
+    th.win = 512;
+    EtherHeader eh;
+    eh.src = kSenderNodeId;
+    eh.dst = kPcNodeId;
+    Bytes frame(kTcpPayloadOffset + payload_len);
+    for (std::size_t i = kTcpPayloadOffset; i < frame.size(); ++i) {
+      frame[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    }
+    FinishTcpFrame(frame, eh, ih, th);
+
+    std::vector<Bytes> frames = {frame};
+    for (std::size_t at = kEtherHeaderBytes; at < kTcpPayloadOffset + payload_len; ++at) {
+      frames.push_back(frame);
+      frames.back()[at] ^= 0x5A;
+    }
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      tb.machine().events().ScheduleAt(Msec(20) + i * Msec(4), [&k, f = frames[i]]() mutable {
+        k.wire().Transmit(kSenderNodeId, std::move(f));
+      });
+    }
+    k.Run(Msec(20) + frames.size() * Msec(4) + Msec(50));
+    EXPECT_EQ(k.net().we().rx_dropped(), 0u);
+    EXPECT_EQ(k.net().ipintrq_drops(), 0u);
+    EXPECT_EQ(k.net().ip_packets_in(), frames.size());
+    EXPECT_EQ(k.net().tcp_segments_in(), frames.size() - IpHeader::kBytes);
+    EXPECT_EQ(k.net().cksum_failures(), frames.size() - 1) << "payload " << payload_len;
+  }
 }
 
 TEST(NetStack, FullIpintrqCountsDropsAndFreesTheChain) {

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/profhw/event_ram.h"
@@ -49,6 +50,62 @@ TEST(UsecTimer, TicksBetweenHandlesWrap) {
 TEST(UsecTimer, TicksToNs) {
   UsecTimer timer;
   EXPECT_EQ(timer.TicksToNs(3), 3000u);
+}
+
+// The 128-bit conversions, kept here as the oracle: the timer takes a
+// whole-tick shortcut for rates that divide 10^9, and must agree with these
+// for every input at every rate.
+std::uint32_t OracleSample(Nanoseconds now, std::uint64_t hz, std::uint32_t mask) {
+  const unsigned __int128 ticks = static_cast<unsigned __int128>(now) * hz / 1'000'000'000ULL;
+  return static_cast<std::uint32_t>(ticks) & mask;
+}
+
+Nanoseconds OracleTicksToNs(std::uint64_t ticks, std::uint64_t hz) {
+  return static_cast<Nanoseconds>(static_cast<unsigned __int128>(ticks) * 1'000'000'000ULL / hz);
+}
+
+TEST(UsecTimer, ConversionsEqualThe128BitFormulaExactly) {
+  // Rates that divide 10^9 take the shortcut; 1,193,182 Hz (the PC's 8254
+  // crystal) and 3 MHz do not.
+  const std::uint64_t rates[] = {1'000'000, 2'000'000, 10'000'000, 1'000'000'000,
+                                 1'193'182, 3'000'000};
+  const unsigned widths[] = {16, 24, 32};
+  for (const std::uint64_t hz : rates) {
+    std::vector<UsecTimer> timers;
+    for (const unsigned bits : widths) {
+      timers.emplace_back(bits, hz);
+    }
+    // 0, wrap edges of every width (one tick either side), and instants
+    // above 2^44 ns up to the top of the range.
+    std::vector<Nanoseconds> instants = {0, 1, 999, 1000, 1001};
+    for (const unsigned bits : widths) {
+      for (const std::uint64_t wraps : {1ull, 2ull, 3ull, 1000ull}) {
+        const Nanoseconds edge = OracleTicksToNs(wraps << bits, hz);
+        for (const Nanoseconds delta : {0ull, 1ull, 2ull, 999ull, 1000ull, 1001ull}) {
+          instants.push_back(edge - delta);
+          instants.push_back(edge + delta);
+        }
+      }
+    }
+    for (const Nanoseconds big : {1ull << 44, (1ull << 44) + 999, (1ull << 50) + 12'345,
+                                  1ull << 63, ~0ull - 1, ~0ull}) {
+      instants.push_back(big);
+    }
+    // 10^6 seeded values of every magnitude.
+    Rng rng(hz);
+    for (int i = 0; i < 1'000'000; ++i) {
+      instants.push_back(rng.Next() >> rng.NextBelow(64));
+    }
+    for (const Nanoseconds now : instants) {
+      for (const UsecTimer& timer : timers) {
+        ASSERT_EQ(timer.Sample(now), OracleSample(now, hz, timer.Mask()))
+            << "hz=" << hz << " bits=" << timer.bits() << " now=" << now;
+      }
+      // `now` doubles as a tick count: every magnitude, wrap edges included.
+      ASSERT_EQ(timers[0].TicksToNs(now), OracleTicksToNs(now, hz))
+          << "hz=" << hz << " ticks=" << now;
+    }
+  }
 }
 
 // Future-work parameterisation: wider counters and faster clocks.

@@ -21,7 +21,7 @@ class RecordingNode : public EtherNode {
  public:
   explicit RecordingNode(std::uint8_t id) : id_(id) {}
   std::uint8_t node_id() const override { return id_; }
-  void OnFrame(const Bytes& frame) override {
+  void OnFrame(Bytes frame) override {
     arrivals_.push_back({frame, 0});
     arrivals_.back().second = frame.size();
   }
@@ -73,7 +73,7 @@ class CountingNode : public EtherNode {
  public:
   CountingNode(std::uint8_t id, int* frames) : id_(id), frames_(frames) {}
   std::uint8_t node_id() const override { return id_; }
-  void OnFrame(const Bytes&) override { ++*frames_; }
+  void OnFrame(Bytes) override { ++*frames_; }
 
  private:
   std::uint8_t id_;
