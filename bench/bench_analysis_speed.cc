@@ -4,11 +4,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "src/analysis/decoder.h"
 #include "src/analysis/export.h"
 #include "src/analysis/summary.h"
 #include "src/analysis/trace_report.h"
+#include "src/instr/tag_file.h"
 #include "src/profhw/binary_trace.h"
+#include "src/profhw/smart_socket.h"
 #include "src/workloads/testbed.h"
 #include "src/workloads/workloads.h"
 
@@ -134,6 +138,47 @@ void BM_ParseTextContainer(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_ParseTextContainer);
+
+// The other two text parsers: the same events as a chunked stream file (what
+// `hwprof_analyze --follow` re-reads), and the names file every tool loads.
+
+void BM_ParseStreamText(benchmark::State& state) {
+  CaptureFixture& f = Fixture();
+  StreamCapture stream;
+  stream.timer_bits = f.raw.timer_bits;
+  stream.timer_clock_hz = f.raw.timer_clock_hz;
+  constexpr std::size_t kChunks = 8;
+  const std::size_t per_chunk = f.raw.events.size() / kChunks + 1;
+  for (std::size_t begin = 0; begin < f.raw.events.size(); begin += per_chunk) {
+    const std::size_t end = std::min(f.raw.events.size(), begin + per_chunk);
+    TraceChunk chunk;
+    chunk.dropped_before = begin / 64;
+    chunk.events.assign(f.raw.events.begin() + static_cast<std::ptrdiff_t>(begin),
+                        f.raw.events.begin() + static_cast<std::ptrdiff_t>(end));
+    stream.chunks.push_back(std::move(chunk));
+  }
+  const std::string text = SerializeStreamText(stream);
+  for (auto _ : state) {
+    StreamCapture loaded;
+    benchmark::DoNotOptimize(
+        ParseStreamText(text, &loaded, nullptr, /*salvage=*/false, nullptr));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.raw.events.size()));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseStreamText);
+
+void BM_ParseTagFile(benchmark::State& state) {
+  CaptureFixture& f = Fixture();
+  const std::string text = f.tb->tags().Format();
+  for (auto _ : state) {
+    TagFile loaded;
+    benchmark::DoNotOptimize(TagFile::Parse(text, &loaded));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(f.tb->tags().size()));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseTagFile);
 
 void BM_DecodeBinaryContainer(benchmark::State& state) {
   CaptureFixture& f = Fixture();
