@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdio>
 
+#include "src/base/line_cursor.h"
+
 namespace hwprof {
 
 std::string StrFormat(const char* fmt, ...) {
@@ -60,19 +62,11 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 }
 
 bool ParseUint(std::string_view s, std::uint64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
+  const char* p = s.data();
+  const char* end = p + s.size();
   std::uint64_t value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (0x7fffffffffffffffULL - digit) / 10) {
-      return false;
-    }
-    value = value * 10 + digit;
+  if (!ReadDigits(&p, end, &value) || p != end) {
+    return false;
   }
   *out = value;
   return true;

@@ -1,6 +1,7 @@
 #include "src/instr/tag_file.h"
 
 #include "src/base/assert.h"
+#include "src/base/line_cursor.h"
 #include "src/base/strings.h"
 
 namespace hwprof {
@@ -15,8 +16,10 @@ bool TagFile::Parse(std::string_view text, TagFile* out, std::vector<TagDiag>* d
       diags->push_back(TagDiag{line_no, std::move(message)});
     }
   };
-  for (std::string_view raw_line : SplitLines(text)) {
-    ++line_no;
+  LineCursor lines(text);
+  std::string_view raw_line;
+  while (lines.Next(&raw_line)) {
+    line_no = lines.line_no();
     const std::string_view full_line = StripWhitespace(raw_line);
     if (full_line.empty() || full_line[0] == '#') {
       continue;
@@ -32,15 +35,12 @@ bool TagFile::Parse(std::string_view text, TagFile* out, std::vector<TagDiag>* d
     }
     std::string group;
     bool annotations_ok = true;
-    std::vector<std::string_view> tokens;
     while (!annotations.empty()) {
       const std::size_t sep = annotations.find_first_of(" \t");
-      tokens.push_back(annotations.substr(0, sep));
+      const std::string_view token = annotations.substr(0, sep);
       annotations = sep == std::string_view::npos
                         ? std::string_view{}
                         : StripWhitespace(annotations.substr(sep));
-    }
-    for (std::string_view token : tokens) {
       const std::size_t eq = token.find('=');
       const std::string_view key =
           eq == std::string_view::npos ? token : token.substr(0, eq);

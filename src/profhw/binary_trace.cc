@@ -302,8 +302,7 @@ BinaryChunkReader::BinaryChunkReader(std::string_view bytes, bool salvage)
   }
   dropped_events_ = ReadLe64(p + 20);
   capture_elapsed_ns_ = ReadLe64(p + 28);
-  timer_mask_ =
-      timer_bits_ >= 32 ? 0xFFFFFFFFu : ((1u << timer_bits_) - 1u);
+  timer_mask_ = TimerMaskFor(timer_bits_);
   pos_ = kBinaryFileHeaderSize;
   header_ok_ = true;
 }

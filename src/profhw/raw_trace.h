@@ -21,6 +21,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/base/line_cursor.h"
+
 namespace hwprof {
 
 struct RawEvent {
@@ -29,6 +31,32 @@ struct RawEvent {
 
   friend bool operator==(const RawEvent&, const RawEvent&) = default;
 };
+
+// Timer counter mask (2^timer_bits - 1) of a `timer_bits`-wide counter.
+inline std::uint32_t TimerMaskFor(unsigned timer_bits) {
+  return timer_bits >= 32 ? 0xFFFFFFFFu : ((1u << timer_bits) - 1u);
+}
+
+// Parses one "<tag> <timestamp>" line of a text capture or stream file in a
+// single pass: two decimal fields joined by one space, the tag within the
+// 16-bit tag section and the timestamp within `mask`. Only a line this
+// rejects pays for EventLineError's diagnosis.
+inline bool ParseEventLine(std::string_view line, std::uint32_t mask, RawEvent* out) {
+  FieldCursor fields(line, ' ');
+  std::uint64_t tag = 0;
+  std::uint64_t timestamp = 0;
+  if (!fields.NextUint(&tag) || !fields.NextUint(&timestamp) || !fields.done() ||
+      tag > 0xFFFF || timestamp > mask) {
+    return false;
+  }
+  out->tag = static_cast<std::uint16_t>(tag);
+  out->timestamp = static_cast<std::uint32_t>(timestamp);
+  return true;
+}
+
+// Why ParseEventLine rejects `line` under a `timer_bits`-wide timer: the
+// reason a text parse reports for the line (empty when it is accepted).
+std::string EventLineError(std::string_view line, unsigned timer_bits);
 
 // One drained bank of a streaming (double-buffered) capture: the events in
 // address order plus the number of events the board dropped immediately
@@ -65,9 +93,7 @@ struct RawTrace {
   std::uint64_t capture_elapsed_ns = 0;
 
   // Timer counter mask (2^timer_bits - 1) for this capture's header.
-  std::uint32_t TimerMask() const {
-    return timer_bits >= 32 ? 0xFFFFFFFFu : ((1u << timer_bits) - 1u);
-  }
+  std::uint32_t TimerMask() const { return TimerMaskFor(timer_bits); }
 
   // Serialises to the simple line format uploaded to the UNIX host:
   //   "hwprof-raw v1 <timer_bits> <clock_hz> <overflowed>[ dropped=N][ elapsed=NS]"

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <climits>
 #include <cmath>
@@ -13,6 +14,7 @@
 
 #include "src/analysis/export.h"
 #include "src/base/json.h"
+#include "src/base/line_cursor.h"
 #include "src/base/rng.h"
 #include "src/base/strings.h"
 #include "src/base/text_writer.h"
@@ -163,6 +165,89 @@ TEST(Strings, ParseUintRejects) {
   EXPECT_FALSE(ParseUint("12x", &v));
   EXPECT_FALSE(ParseUint(" 1", &v));
   EXPECT_FALSE(ParseUint("99999999999999999999999", &v));
+  EXPECT_TRUE(ParseUint("9223372036854775807", &v));
+  EXPECT_EQ(v, 9223372036854775807u);
+  EXPECT_FALSE(ParseUint("9223372036854775808", &v));
+  EXPECT_FALSE(ParseUint("18446744073709551615", &v));
+  EXPECT_EQ(v, 9223372036854775807u);  // untouched on failure
+}
+
+// --- Line and field cursors -------------------------------------------------------
+
+// Texts at every line-shape edge: empty, a lone newline, no final newline,
+// a doubled final newline, '\r', empty lines and separator runs.
+const std::vector<std::string_view> kCursorTexts = {
+    "", "\n", "\n\n", "a", "a\n", "a\n\n", "a\nb", "\na\n", "a\r\nb\r\n",
+    "1 2\n3  4\n 5 6 \n\n7\t8", "x", " ", "  ", "1 2 ", " 1 2",
+};
+
+TEST(LineCursor, WalksTheLinesSplitLinesReturns) {
+  for (std::string_view text : kCursorTexts) {
+    const std::vector<std::string_view> expected = SplitLines(text);
+    LineCursor lines(text);
+    EXPECT_EQ(lines.CountRemaining(), expected.size()) << text;
+    std::string_view line;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_TRUE(lines.Next(&line)) << text;
+      EXPECT_EQ(line, expected[i]) << text;
+      EXPECT_EQ(lines.line_no(), static_cast<int>(i) + 1) << text;
+      EXPECT_EQ(lines.AtEnd(), i + 1 == expected.size()) << text;
+      EXPECT_EQ(lines.CountRemaining(), expected.size() - i - 1) << text;
+    }
+    EXPECT_FALSE(lines.Next(&line)) << text;
+    EXPECT_TRUE(lines.AtEnd()) << text;
+  }
+}
+
+TEST(LineCursor, CountsNewlinesAtEveryOffsetAndLength) {
+  // Newlines among the bytes a word-at-a-time count could mistake for one.
+  Rng rng(7);
+  const std::string_view near = std::string_view("\n\x0b\x09\x8a\x00\xff\x0a\x80", 8);
+  std::string text;
+  for (int i = 0; i < 80; ++i) {
+    text += near[rng.NextBelow(near.size())];
+  }
+  for (std::size_t begin = 0; begin < 9; ++begin) {
+    for (std::size_t end = begin; end <= text.size(); ++end) {
+      const std::string_view s = std::string_view(text).substr(begin, end - begin);
+      EXPECT_EQ(CountNewlines(s), static_cast<std::size_t>(std::count(s.begin(), s.end(), '\n')))
+          << begin << ".." << end;
+    }
+  }
+}
+
+TEST(FieldCursor, FieldsMatchSplitAndNumbersMatchParseUint) {
+  for (std::string_view line : kCursorTexts) {
+    const std::vector<std::string_view> expected = Split(line, ' ');
+    EXPECT_EQ(CountFields(line, ' '), expected.size()) << line;
+    FieldCursor fields(line, ' ');
+    std::string_view field;
+    for (std::string_view want : expected) {
+      ASSERT_TRUE(fields.Next(&field)) << line;
+      EXPECT_EQ(field, want) << line;
+    }
+    EXPECT_FALSE(fields.Next(&field)) << line;
+    EXPECT_TRUE(fields.done()) << line;
+  }
+  for (std::string_view field :
+       {"0", "007", "65535", "9223372036854775807", "9223372036854775808",
+        "18446744073709551615", "18446744073709551616", "", "+1", "-1", "1x", "x",
+        "\t1", "1\r"}) {
+    std::uint64_t want = 0;
+    const bool ok = ParseUint(field, &want);
+    // As a field followed by a separator, and as the last field of a line.
+    const std::string followed = std::string(field) + " 5";
+    FieldCursor first(followed, ' ');
+    std::uint64_t got = 0;
+    std::uint64_t next = 0;
+    EXPECT_EQ(first.NextUint(&got) && first.NextUint(&next) && first.done(), ok) << field;
+    FieldCursor last(field, ' ');
+    EXPECT_EQ(last.NextUint(&got) && last.done(), ok) << field;
+    if (ok) {
+      EXPECT_EQ(got, want) << field;
+      EXPECT_EQ(next, 5u) << field;
+    }
+  }
 }
 
 // --- TextWriter ------------------------------------------------------------------
