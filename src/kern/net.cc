@@ -1,8 +1,6 @@
 #include "src/kern/net.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/base/assert.h"
 #include "src/kern/clock.h"
@@ -476,12 +474,6 @@ void NetStack::TcpInput(const IpHeader& ih, Mbuf* chain) {
     tp->snd_wnd = th.win;
     if (ack_off > tp->snd_off_acked &&
         ack_off <= tp->snd_off_acked + so->snd.cc) {
-      if (getenv("HWPROF_TCP_DEBUG")) {
-        fprintf(stderr, "tcp: ack=%u ack_off=%llu acked %llu -> %llu (cc=%zu sent=%llu)\n",
-                th.ack, (unsigned long long)ack_off,
-                (unsigned long long)tp->snd_off_acked, (unsigned long long)ack_off,
-                so->snd.cc, (unsigned long long)tp->snd_off_sent);
-      }
       const std::size_t acked = static_cast<std::size_t>(ack_off - tp->snd_off_acked);
       SbDropSnd(*so, acked);
       tp->snd_off_acked = ack_off;

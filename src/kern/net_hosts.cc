@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/base/assert.h"
@@ -255,10 +253,6 @@ void ReceiverHost::OnFrame(Bytes frame) {
     if (drop_every_n_ != 0 && data_segments_ % drop_every_n_ == 0) {
       ++segments_dropped_;
       return;  // pretend it never arrived; the sender must recover
-    }
-    if (getenv("HWPROF_RXHOST_DEBUG")) {
-      fprintf(stderr, "rxhost: seq=%u rcv_nxt=%u len=%zu\n", th.seq, rcv_nxt_,
-              payload.size());
     }
     if (th.seq == rcv_nxt_ && payload.size() <= window_) {
       received_.insert(received_.end(), payload.begin(), payload.end());
